@@ -26,7 +26,6 @@ from .flow import (
     NeighbourhoodError,
     compose,
     e_remainder,
-    flow,
     pullback_deformation,
     pullback_scalar,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "decompose",
     "e_remainder",
     "estimate_harness",
-    "flow",
     "frame_derivative",
     "fs_norm",
     "kernel_implementation",

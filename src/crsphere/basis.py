@@ -23,9 +23,10 @@ a guard; with exact residuals it can only fire on true zeros.
 
 The frame derivatives Z, Zbar act 1-sparsely on this basis (they shift the
 weight by (-1,-1) / (+1,+1) at fixed degree, and each (weight, degree) slot is
-one-dimensional); their matrices are assembled from exact rational pairings
-and the 1-sparsity is asserted, not assumed. T acts diagonally with eigenvalue
-``i * kappa * (k1 + k2)``.
+one-dimensional); their sparse matrices are assembled from exact rational
+pairings and the 1-sparsity is asserted, not assumed. Both keep k1 - k2 and the
+degree, so they act within the (degree, k1 - k2) chains of the basis. T acts
+diagonally with eigenvalue ``i * kappa * (k1 + k2)``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from . import _core
 from .geometry import QuadratureGrid, ReferenceGeometry, monomial_moment
@@ -130,11 +132,12 @@ class Basis:
         self._slot = {(int(a), int(b), int(d)): i
                       for i, (a, b, d) in enumerate(zip(self.k1, self.k2, self.degrees))}
 
-        # Degree-major ordering gives contiguous degree blocks.
-        self.degree_slices = []
-        for d in range(degree + 1):
-            idx = np.nonzero(self.degrees == d)[0]
-            self.degree_slices.append(slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0))
+        # Z and Zbar shift (k1, k2) along the diagonal at fixed degree, so the
+        # (degree, k1 - k2) chains are invariant; each lists its slots by k1 + k2.
+        chains = {}
+        for i, key in enumerate(zip(self.degrees.tolist(), (self.k1 - self.k2).tolist())):
+            chains.setdefault(key, []).append(i)
+        self.chains = [np.array(c) for c in chains.values()]
 
         # conj(basis function) is exactly the mirrored-weight basis function.
         self.conj_index = np.array([self._slot[(-int(a), -int(b), int(d))]
@@ -147,7 +150,9 @@ class Basis:
         self._projector = (self.node_values * grid.weights_normalized[:, None]).conj().T
 
         self.frame_z_matrix, self.frame_zbar_matrix = self._assemble_frame_matrices()
-        self._word_gram_cache = {}
+        z, zb = self.frame_z_matrix, self.frame_zbar_matrix
+        self._word_step = (z.multiply(z) + zb.multiply(zb)).T.tocsr()
+        self._fs_levels = [np.ones(self.size)]  # w_0, w_1, ... of fs_norm2
         self.basis_id = self._content_hash()
 
     # -- construction ----------------------------------------------------
@@ -217,18 +222,17 @@ class Basis:
         return basis
 
     def _assemble_frame_matrices(self):
-        """Exact matrices of Z and Zbar on the basis (real entries).
+        """Exact sparse matrices of Z and Zbar on the basis (real entries).
 
         Zbar sends the (k1, k2, d) slot to (k1+1, k2+1, d) and Z to
         (k1-1, k2-1, d); the full image must land in that single slot, which
         is asserted through the exact norm identity below.
         """
-        z_mat = np.zeros((self.size, self.size))
-        zbar_mat = np.zeros((self.size, self.size))
+        entries = {_z_terms: ([], [], []), _zbar_terms: ([], [], [])}
         for i in range(self.size):
             terms = self._rational[i]
             n2_i = self._norms2[i]
-            for op, shift, mat in ((_z_terms, -1, z_mat), (_zbar_terms, +1, zbar_mat)):
+            for op, shift in ((_z_terms, -1), (_zbar_terms, +1)):
                 img = op(terms)
                 img_norm2 = _pair_exact(img, img)
                 j = self._slot.get((int(self.k1[i]) + shift, int(self.k2[i]) + shift,
@@ -244,8 +248,13 @@ class Basis:
                     raise AssertionError("frame derivative image is not 1-sparse")
                 # normalized entry <op beta_i, beta_j>; its square is rational
                 entry2 = inner * inner / (n2_i * n2_j)
-                mat[j, i] = _fraction_sqrt_ratio(entry2 if inner >= 0 else -entry2)
-        return z_mat, zbar_mat
+                rows, cols, vals = entries[op]
+                rows.append(j)
+                cols.append(i)
+                vals.append(_fraction_sqrt_ratio(entry2 if inner >= 0 else -entry2))
+        shape = (self.size, self.size)
+        return tuple(sparse.csr_array((vals, (rows, cols)), shape=shape)
+                     for rows, cols, vals in entries.values())
 
     def _content_hash(self):
         h = hashlib.sha256()
@@ -293,14 +302,6 @@ class Basis:
     def from_values(self, values):
         return SpectralScalar(self, self.project_values(np.asarray(values, dtype=complex)))
 
-    def from_monomial(self, a1, a2, b1, b2):
-        """The restriction of a single ambient monomial, projected exactly."""
-        if a1 + a2 + b1 + b2 > self.degree:
-            raise ValueError("monomial degree exceeds basis truncation")
-        z1, z2 = self.grid.z1, self.grid.z2
-        values = z1 ** a1 * z2 ** a2 * np.conj(z1) ** b1 * np.conj(z2) ** b2
-        return self.from_values(values)
-
     def random_scalar(self, rng, max_degree=None, real=False):
         """Seeded random element, optionally band-limited and real."""
         max_degree = self.degree if max_degree is None else max_degree
@@ -310,15 +311,6 @@ class Basis:
         return f.real_part() if real else f
 
     # -- frame derivatives and norms ---------------------------------------
-
-    def frame_matrix(self, letter):
-        if letter == "Z":
-            return self.frame_z_matrix
-        if letter == "Zb":
-            return self.frame_zbar_matrix
-        if letter == "T":
-            return np.diag(self.t_eigs)
-        raise ValueError(f"unknown frame letter {letter!r}")
 
     def apply_word(self, coeffs, word):
         """Apply a frame word (letters applied right to left, as written)."""
@@ -334,37 +326,24 @@ class Basis:
                 raise ValueError(f"unknown frame letter {letter!r}")
         return out
 
-    def word_gram(self, order):
-        """Gram matrix of the order-s Folland-Stein norm (horizontal words only).
+    def fs_norm2(self, coeffs, order):
+        """Squared order-s Folland-Stein norm (horizontal words only).
 
         ||f||_s^2 = sum over words I in {Z, Zb} with |I| <= s of ||X_I f||^2.
-        Built by the recursion B_0 = I, B_k = Z^T B_{k-1} Z + Zb^T B_{k-1} Zb;
-        the matrices are real, so the Gram is real symmetric.
+        Z and Zb are 1-sparse and injective on slots, so every X_I maps basis
+        functions to multiples of distinct basis functions and the norm is
+        diagonal: ||f||_s^2 = sum_i W_s[i] |c_i|^2 with W_s = w_0 + ... + w_s,
+        w_0 = 1 and w_k = (Z o Z)^T w_{k-1} + (Zb o Zb)^T w_{k-1} (entrywise
+        squares).
         """
         order = int(order)
         if order < 0:
             raise ValueError("norm order must be non-negative")
-        if order not in self._word_gram_cache:
-            if order == 0:
-                level = np.eye(self.size)
-                gram = np.eye(self.size)
-                self._word_gram_cache[0] = (gram, level)
-            else:
-                prev_gram, prev_level = self.word_gram_pair(order - 1)
-                z, zb = self.frame_z_matrix, self.frame_zbar_matrix
-                level = z.T @ prev_level @ z + zb.T @ prev_level @ zb
-                self._word_gram_cache[order] = (prev_gram + level, level)
-        return self._word_gram_cache[order][0]
-
-    def word_gram_pair(self, order):
-        self.word_gram(order)
-        return self._word_gram_cache[order]
-
-    def fs_norm2(self, coeffs, order):
-        g = self.word_gram(order)
-        c = np.asarray(coeffs, dtype=complex)
-        val = np.real(np.vdot(c, g @ c))
-        return max(val, 0.0)
+        levels = self._fs_levels
+        while len(levels) <= order:
+            levels.append(self._word_step @ levels[-1])
+        weights = np.sum(levels[:order + 1], axis=0)
+        return float(np.dot(weights, np.abs(np.asarray(coeffs)) ** 2))
 
 
 def _fraction_sqrt_ratio(frac2):
@@ -415,10 +394,6 @@ class SpectralScalar:
 
     def fs_norm(self, order):
         return math.sqrt(self.basis.fs_norm2(self.coeffs, order))
-
-    def band_degree(self, tol=0.0):
-        nz = np.nonzero(np.abs(self.coeffs) > tol)[0]
-        return int(self.basis.degrees[nz].max()) if nz.size else 0
 
     # arithmetic -----------------------------------------------------------
 
@@ -476,5 +451,6 @@ def multiply(f, g):
 
 
 def fs_norm(f, order):
-    """Folland-Stein norm of order ``s`` (words over {Z, Zbar} only)."""
+    """Folland-Stein norm of order ``s`` (words over {Z, Zbar} only); a
+    diagonal weight on the coefficients, see :meth:`Basis.fs_norm2`."""
     return f.fs_norm(order)

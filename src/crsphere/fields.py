@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SpectralScalar
-from .operators import FieldForm01, HolField, OperatorSuite
+from .operators import HolField, OperatorSuite
 
 
 @dataclass
@@ -179,11 +179,3 @@ def decompose(suite: OperatorSuite, Z: ComplexContactField):
     y = pi_im(suite, Z)
     return x, y
 
-
-def combined_homotopy_p(suite: OperatorSuite, Phi: FieldForm01) -> ComplexContactField:
-    """The deformation-to-contact-field homotopy operator (complex contact output)."""
-    return complex_contact(suite, suite.combined_p_param(Phi))
-
-
-def combined_homotopy_q(suite: OperatorSuite, Phi: FieldForm01) -> FieldForm01:
-    return suite.combined_q(Phi)

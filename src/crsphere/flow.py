@@ -315,11 +315,6 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     return result
 
 
-def composition_term(F: ContactDiffeo, phi: DeformationTensor) -> SpectralScalar:
-    """The φ∘F coefficient (projected); the frozen slot of the remainder."""
-    return pullback_scalar(F, phi.coefficient)
-
-
 def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,
                 steps=DEFAULT_FLOW_STEPS, compose_with: ContactDiffeo | None = None):
     """E(X, φ) = F_X*φ − ∂̄X|_H − φ∘F: the second-order remainder.

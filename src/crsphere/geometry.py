@@ -395,10 +395,6 @@ class QuadratureGrid:
         """Integral against the normalized round measure."""
         return np.dot(self.weights_normalized, values)
 
-    def integrate(self, values):
-        """Integral against the raw Hopf measure (volume 2 pi^2)."""
-        return np.dot(self.weights, values)
-
 
 def monomial_moment(a1, a2, b1, b2):
     """Exact normalized moment of z^a zbar^b over the round sphere.

@@ -168,23 +168,6 @@ def contact_field_from_json(suite, obj):
     return contact_from_generating(suite, g.real_part())
 
 
-def complex_contact_to_json(Z):
-    return {
-        "kind": "complex_contact",
-        "basis_id": Z.basis.basis_id,
-        "degree": Z.basis.degree,
-        "f": _pairs(Z.parameter.coeffs),
-    }
-
-
-def diffeo_to_json(F):
-    return {
-        "basis_id": F.basis.basis_id,
-        "steps": F.steps,
-        "generator_g": None if F.generator is None else _pairs(F.generator.generating.coeffs),
-    }
-
-
 def result_to_json(result, config=None, input_sha256=None):
     out = {
         "type": "normal_form_result",

@@ -368,11 +368,16 @@ def harmonic_free_basis(suite: OperatorSuite, max_degree=4):
         return cached
     basis = suite.basis
     nb = basis.size
-    emb = suite.real_embedding
-    real_cols = emb[:nb, :] + 1j * emb[nb:, :]
-    keep = [j for j in range(nb)
-            if np.all(basis.degrees[np.abs(real_cols[:, j]) > 0] <= max_degree)]
-    sub = real_cols[:, keep]
+    # orthonormal real scalars of degree <= max_degree: conjugation maps slot
+    # i to conj_index[i] (same degree), giving e_i or (e_i ± e_j)/√2 pairs
+    cols = []
+    for i, j in enumerate(basis.conj_index.tolist()):
+        if basis.degrees[i] > max_degree or j < i:
+            continue
+        e_i, e_j = np.zeros(nb, dtype=complex), np.zeros(nb, dtype=complex)
+        e_i[i], e_j[j] = 1.0, 1.0
+        cols += [e_i] if i == j else [(e_i + e_j) / np.sqrt(2.0), 1j * (e_i - e_j) / np.sqrt(2.0)]
+    sub = np.array(cols).T
     defect = np.empty((nb, sub.shape[1]), dtype=complex)
     for j in range(sub.shape[1]):
         g = basis.scalar(sub[:, j])

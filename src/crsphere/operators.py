@@ -1,10 +1,12 @@
 """Linear CR operator suite on the truncated spectral spaces.
 
 Everything here is a finite matrix acting on basis coefficients. The frame
-derivative Z̄ preserves total degree, so every operator in this module is
-block diagonal over the degree blocks of the basis; homotopy inverses are
-per-block pseudo-inverses and the associated projectors are orthogonal in
-the inner products induced by the adapted metric.
+derivative Z̄ moves the one-dimensional slot (k1, k2, d) to (k1+1, k2+1, d),
+so every operator in this module is block diagonal over the (d, k1 − k2)
+chains of the basis (``Basis.chains``; at most d + 1 slots each). □_b, the
+Szegő projector and the π_Re system are diagonal; homotopy inverses are
+per-chain pseudo-inverses, stored sparse, and the associated projectors are
+orthogonal in the inner products induced by the adapted metric.
 
 Metric weights (derived from the Levi constant ℓ = 1/2):
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy import sparse
 
 from .basis import Basis, SpectralScalar
 
@@ -115,21 +117,25 @@ class FieldForm01:
 
 
 def _blockwise_pinv(mat, blocks, dom_weight, cod_weight):
-    """Per-block weighted pseudo-inverse.
+    """Per-block weighted pseudo-inverse, as a sparse matrix.
 
     Returns P with P y = argmin ||x||_dom over minimizers of ||mat x − y||_cod,
-    block by block. Weights are per-coordinate diagonals.
+    block by block. Each block is an index array whose span ``mat`` maps into
+    itself; weights are per-coordinate diagonals.
     """
-    n_cod, n_dom = mat.shape
-    out = np.zeros((n_dom, n_cod), dtype=mat.dtype)
     sd = np.sqrt(dom_weight)
     sc = np.sqrt(cod_weight)
-    for dom_idx, cod_idx in blocks:
-        block = mat[np.ix_(cod_idx, dom_idx)]
-        weighted = sc[cod_idx, None] * block / sd[None, dom_idx]
+    rows, cols, vals = [], [], []
+    for idx in blocks:
+        block = mat[idx[:, None], idx].toarray()
+        weighted = sc[idx, None] * block / sd[None, idx]
         pinv = np.linalg.pinv(weighted, rcond=PINV_RCOND)
-        out[np.ix_(dom_idx, cod_idx)] = (pinv / sd[dom_idx, None]) * sc[None, cod_idx]
-    return out
+        rows.append(np.repeat(idx, idx.size))
+        cols.append(np.tile(idx, idx.size))
+        vals.append(((pinv / sd[idx, None]) * sc[None, idx]).ravel())
+    n_cod, n_dom = mat.shape
+    return sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n_dom, n_cod))
 
 
 class OperatorSuite:
@@ -145,72 +151,45 @@ class OperatorSuite:
         self.lam_sharp = 1.0 / self.lam_flat
 
         dzb = basis.frame_zbar_matrix
-        eye = np.eye(nb)
+        eye = sparse.eye_array(nb, format="csr")
 
-        scalar_blocks = [(np.arange(sl.start, sl.stop),) * 2 for sl in basis.degree_slices]
-        self.p_sc_matrix = _blockwise_pinv(dzb, scalar_blocks, np.ones(nb), np.ones(nb))
+        self.p_sc_matrix = _blockwise_pinv(dzb, basis.chains, np.ones(nb), np.ones(nb))
         self.s_sc_matrix = eye - dzb @ self.p_sc_matrix
         # ker(Z̄) is exactly the CR (holomorphic-restriction) part of the basis
-        self.szego_matrix = np.diag((basis.bidegree_q == 0).astype(float))
-        pinv_szego = eye - self.p_sc_matrix @ dzb
-        defect = np.abs(pinv_szego - self.szego_matrix).max()
+        self.szego_mask = (basis.bidegree_q == 0).astype(float)
+        szego = sparse.diags_array(self.szego_mask)
+        defect = abs(eye - self.p_sc_matrix @ dzb - szego).max()
         if defect > 1e-10:
             raise AssertionError(f"Szegő projector disagrees with pseudo-inverse ({defect:.2e})")
 
-        # □_b = ∂̄* ∂̄ with the (0,1)-form weight 1/ℓ folded into the adjoint
-        self.box_matrix = (1.0 / levi) * dzb.T @ dzb
+        # □_b = ∂̄* ∂̄ with the (0,1)-form weight 1/ℓ folded into the adjoint;
+        # Z̄ is 1-sparse and injective on slots, so □_b is the diagonal
+        # b_i = (1/ℓ) Σ_j Z̄_ji²
+        self.box_diag = (1.0 / levi) * dzb.multiply(dzb).sum(axis=0)
 
         # field complex B: (f, h) -> (p, q) packed as stacked coefficient vectors
-        zero = np.zeros((nb, nb))
-        self.b_vec_matrix = np.block([[dzb, levi * 1j * eye], [zero, dzb]])
-        self.field_dom_weight = np.concatenate([np.ones(nb), np.full(nb, levi)])
-        self.field_cod_weight = np.concatenate([np.full(nb, 1.0 / levi), np.ones(nb)])
-        field_blocks = []
-        for sl in basis.degree_slices:
-            idx = np.arange(sl.start, sl.stop)
-            both = np.concatenate([idx, nb + idx])
-            field_blocks.append((both, both))
+        self.b_vec_matrix = sparse.block_array([[dzb, levi * 1j * eye], [None, dzb]], format="csr")
+        field_dom_weight = np.concatenate([np.ones(nb), np.full(nb, levi)])
+        field_cod_weight = np.concatenate([np.full(nb, 1.0 / levi), np.ones(nb)])
+        field_blocks = [np.concatenate([idx, nb + idx]) for idx in basis.chains]
         self.p_vec_matrix = _blockwise_pinv(
-            self.b_vec_matrix, field_blocks, self.field_dom_weight, self.field_cod_weight
+            self.b_vec_matrix, field_blocks, field_dom_weight, field_cod_weight
         )
-        eye2 = np.eye(2 * nb)
+        eye2 = sparse.eye_array(2 * nb, format="csr")
         self.q_vec_matrix = eye2 - self.b_vec_matrix @ self.p_vec_matrix
         self.k_harm_matrix = eye2 - self.p_vec_matrix @ self.b_vec_matrix
 
-        # real-subspace machinery for the pi_Re solve: realified coefficients
-        # x = [Re c; Im c]; conjugation is c -> perm(conj c), so the real
-        # subspace has the explicit orthonormal basis built below.
-        sigma = basis.conj_index
-        cols = []
-        for i in range(nb):
-            j = int(sigma[i])
-            if j == i:
-                col = np.zeros(2 * nb)
-                col[i] = 1.0
-                cols.append(col)
-            elif i < j:
-                col = np.zeros(2 * nb)
-                col[i] = col[j] = 1.0 / np.sqrt(2.0)
-                cols.append(col)
-                col = np.zeros(2 * nb)
-                col[nb + i] = 1.0 / np.sqrt(2.0)
-                col[nb + j] = -1.0 / np.sqrt(2.0)
-                cols.append(col)
-        self.real_embedding = np.array(cols).T  # (2nb, nb)
-        if self.real_embedding.shape != (2 * nb, nb):
-            raise AssertionError("real subspace dimension mismatch")
-        emb = self.real_embedding
-        box_r = np.block([[self.box_matrix, zero], [zero, self.box_matrix]])
-        self._pi_re_gram = np.eye(nb) + emb.T @ box_r @ emb
-        self._pi_re_cho = cho_factor(self._pi_re_gram)
+        # For real u, u + Re(□_b u) is diagonal: conjugation sends slot i to
+        # σ(i) = conj_index[i], so Re(□_b u)_i = (b_i + b_σ(i)) / 2 · u_i.
+        self._pi_re_diag = 1.0 + 0.5 * (self.box_diag + self.box_diag[basis.conj_index])
 
         # Combined homotopy on deformation tensors. A complex contact field
         # Z_g packs as (g, 2i Z̄g); the parameter of the projection of a field
         # V = (f, h) onto complex contact fields is H f - flat-constant * P_sc h,
         # and the harmonic (CR) part is removed so that ker(combined P)
         # contains range(combined Q) exactly.
-        self.z_pack_matrix = np.vstack([eye, 2j * dzb]).astype(complex)
-        phat_param = np.hstack([self.szego_matrix, -self.lam_flat * self.p_sc_matrix])
+        self.z_pack_matrix = sparse.vstack([eye, 2j * dzb], format="csr")
+        phat_param = sparse.hstack([szego, -self.lam_flat * self.p_sc_matrix], format="csr")
         k_on_param = (self.k_harm_matrix @ self.z_pack_matrix)[:nb, :]
         self.combined_p_param_matrix = (eye - k_on_param) @ phat_param @ self.p_vec_matrix
         self.combined_q_matrix = eye2 - self.b_vec_matrix @ self.z_pack_matrix @ self.combined_p_param_matrix
@@ -229,14 +208,14 @@ class OperatorSuite:
         return ScalarForm01(self.basis.scalar(self.basis.frame_zbar_matrix @ f.coeffs))
 
     def box_b(self, f: SpectralScalar) -> SpectralScalar:
-        return self.basis.scalar(self.box_matrix @ f.coeffs)
+        return self.basis.scalar(self.box_diag * f.coeffs)
 
     def delta_Q(self, u: SpectralScalar) -> SpectralScalar:
         """Defined through Re(u + □_b u) = u + Δ_Q u / 4 (n = 1)."""
         return 4.0 * ((u + self.box_b(u)).real_part() - u)
 
     def szego(self, f: SpectralScalar) -> SpectralScalar:
-        return self.basis.scalar(self.szego_matrix @ f.coeffs)
+        return self.basis.scalar(self.szego_mask * f.coeffs)
 
     def p_scalar(self, alpha: ScalarForm01) -> SpectralScalar:
         return self.basis.scalar(self.p_sc_matrix @ alpha.a.coeffs)
@@ -285,23 +264,14 @@ class OperatorSuite:
 
     # -- real projection solve -----------------------------------------------
 
-    def _realify(self, coeffs):
-        return np.concatenate([coeffs.real, coeffs.imag])
-
-    def _unrealify(self, x):
-        nb = self.basis.size
-        return x[:nb] + 1j * x[nb:]
-
     def pi_re_solve(self, rhs: SpectralScalar) -> SpectralScalar:
-        """Solve (I + Δ_Q/4) u = rhs for real u, rhs real; SPD solve.
+        """Solve (I + Δ_Q/4) u = rhs for real u, rhs real.
 
-        For real u the left side is u + Re(□_b u), which realifies to an SPD
-        matrix on the real subspace.
+        For real u the left side is u + Re(□_b u), a positive diagonal.
         """
-        emb = self.real_embedding
-        r = emb.T @ self._realify(rhs.coeffs)
-        y = cho_solve(self._pi_re_cho, r)
-        resid = np.linalg.norm(self._pi_re_gram @ y - r)
+        r = rhs.coeffs
+        u = r / self._pi_re_diag
+        resid = np.linalg.norm(self._pi_re_diag * u - r)
         if resid > 1e-10 * max(1.0, np.linalg.norm(r)):
             raise ArithmeticError(f"pi_Re solve residual {resid:.2e}")
-        return self.basis.scalar(self._unrealify(emb @ y))
+        return self.basis.scalar(u)

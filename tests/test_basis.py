@@ -6,6 +6,8 @@ checked against Wirtinger derivatives assembled from central differences
 in the four real coordinates of C^2.
 """
 
+import itertools
+
 import numpy as np
 
 from conftest import cached_basis
@@ -154,6 +156,16 @@ def test_norm_order_monotone(basis6):
     f = basis6.random_scalar(rng)
     norms = [fs_norm(f, s) for s in range(5)]
     assert all(norms[i] <= norms[i + 1] + 1e-12 for i in range(4))
+
+
+def test_norm_matches_explicit_word_sum(basis6):
+    # ||f||_s^2 = sum over words I in {Z, Zb}, |I| <= s, of ||X_I f||^2
+    rng = np.random.default_rng(12)
+    f = basis6.random_scalar(rng)
+    for s in (1, 2, 3):
+        words = [w for k in range(s + 1) for w in itertools.product(("Z", "Zb"), repeat=k)]
+        expect = sum(frame_derivative(f, list(w)).l2_norm() ** 2 for w in words)
+        assert abs(fs_norm(f, s) ** 2 - expect) <= 1e-12 * expect, s
 
 
 def test_projection_roundtrip(basis6):

@@ -1,5 +1,7 @@
 """Contact flows: closed forms, group structure, pullbacks, remainder."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,10 @@ def test_compose_tracks_generator_none(suite6):
     G = compose(F, F)
     assert G.generator is None
     assert G.steps == F.steps
+
+
+def test_package_attribute_flow_is_the_module():
+    # the flow function is reached as crsphere.flow.flow; the package
+    # attribute must stay the module so that it can be inspected and patched
+    import crsphere
+    assert crsphere.flow is sys.modules["crsphere.flow"]

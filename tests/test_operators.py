@@ -4,14 +4,17 @@ Independence here means quadrature + finite differences, never the spectral
 derivative matrices: the Kohn Laplacian is pinned by its quadratic form
 <box f, g> = (1/levi) <Zbar f, Zbar g>_{L^2} with the derivatives taken by
 central differences, and the Szego projector by least squares against the
-span of CR monomials assembled on the grid.
+span of CR monomials assembled on the grid. The chain-structured homotopy
+operators are pinned against a dense assembly of weighted pseudo-inverses
+over whole degree blocks.
 """
 
 import numpy as np
 
 from test_basis import frame_derivative_fd
 
-from crsphere.operators import FieldForm01, HolField, OperatorSuite
+from crsphere import frame_derivative
+from crsphere.operators import FieldForm01, HolField, ScalarForm01
 
 
 def test_scalar_homotopy_split(suite6):
@@ -163,3 +166,62 @@ def test_combined_homotopy_algebra(suite6):
     assert suite6.combined_q(exact).fs_norm(0) < 1e-10
     recon = suite6.combined_p_param(exact) + suite6.k_harm(Zc.as_hol_field()).f
     assert (recon - Zc.parameter).l2_norm() < 1e-10
+
+
+def _dense_blockwise_pinv(mat, blocks, dom_weight, cod_weight):
+    """Weighted pseudo-inverse of ``mat``, one dense block at a time."""
+    out = np.zeros(mat.shape[::-1], dtype=mat.dtype)
+    sd, sc = np.sqrt(dom_weight), np.sqrt(cod_weight)
+    for idx in blocks:
+        weighted = sc[idx, None] * mat[np.ix_(idx, idx)] / sd[None, idx]
+        pinv = np.linalg.pinv(weighted, rcond=1e-9)
+        out[np.ix_(idx, idx)] = (pinv / sd[idx, None]) * sc[None, idx]
+    return out
+
+
+def test_chain_operators_match_dense_degree_block_assembly(suite6):
+    basis = suite6.basis
+    nb = basis.size
+    levi = float(basis.geometry.levi)
+    eye, eye2, zero = np.eye(nb), np.eye(2 * nb), np.zeros((nb, nb))
+    dzb = np.column_stack([frame_derivative(basis.scalar(e), ["Zb"]).coeffs for e in eye])
+    blocks = [np.nonzero(basis.degrees == d)[0] for d in range(basis.degree + 1)]
+
+    p_sc = _dense_blockwise_pinv(dzb, blocks, np.ones(nb), np.ones(nb))
+    b_vec = np.block([[dzb, 1j * levi * eye], [zero, dzb]])
+    p_vec = _dense_blockwise_pinv(
+        b_vec, [np.concatenate([idx, nb + idx]) for idx in blocks],
+        np.concatenate([np.ones(nb), np.full(nb, levi)]),
+        np.concatenate([np.full(nb, 1.0 / levi), np.ones(nb)]))
+    q_vec = eye2 - b_vec @ p_vec
+    k_harm = eye2 - p_vec @ b_vec
+    z_pack = np.vstack([eye, 2j * dzb])
+    phat_param = np.hstack([np.diag((basis.bidegree_q == 0).astype(float)), -1j * levi * p_sc])
+    combined_p = (eye - (k_harm @ z_pack)[:nb]) @ phat_param @ p_vec
+    combined_q = eye2 - b_vec @ z_pack @ combined_p
+
+    def form(v):
+        return FieldForm01(basis.scalar(v[:nb]), basis.scalar(v[nb:]))
+
+    def field(v):
+        return HolField(basis.scalar(v[:nb]), basis.scalar(v[nb:]))
+
+    def packed(x):
+        a, b = (x.f, x.h) if isinstance(x, HolField) else (x.p, x.q)
+        return np.concatenate([a.coeffs, b.coeffs])
+
+    def columns(apply, n):
+        return np.column_stack([apply(e) for e in np.eye(n)])
+
+    n2 = 2 * nb
+    cases = {
+        "p_scalar": (p_sc, columns(lambda e: suite6.p_scalar(ScalarForm01(basis.scalar(e))).coeffs, nb)),
+        "p_field": (p_vec, columns(lambda e: packed(suite6.p_field(form(e))), n2)),
+        "q_field": (q_vec, columns(lambda e: packed(suite6.q_field(form(e))), n2)),
+        "k_harm": (k_harm, columns(lambda e: packed(suite6.k_harm(field(e))), n2)),
+        "combined_p_param": (combined_p, columns(lambda e: suite6.combined_p_param(form(e)).coeffs, n2)),
+        "combined_q": (combined_q, columns(lambda e: packed(suite6.combined_q(form(e))), n2)),
+    }
+    for name, (dense, got) in cases.items():
+        assert got.shape == dense.shape, name
+        assert np.max(np.abs(got - dense)) < 1e-12, name
