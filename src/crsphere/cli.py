@@ -13,8 +13,10 @@ and reruns with identical flags are byte-identical.
 
 Exit codes: 0 success, 2 iteration did not converge, 3 deformation left the
 parameterized neighbourhood (or was too large to start), 4 stored
-coefficients belong to a different basis build. Checks that fail in
-``verify``/``slice`` exit 1. argparse keeps its usual 2 for bad flags.
+coefficients belong to a different basis build, 5 a contact flow failed
+(field too large to flow, or no step count up to the cap passed the
+step-halving and contact checks). Checks that fail in ``verify``/``slice``
+exit 1. argparse keeps its usual 2 for bad flags.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import io as _io
 from . import normal_form as nf
 from .basis import build_basis
 from .fields import complex_contact, complex_contact_norm, contact_from_generating, pi_im, pi_re
-from .flow import DEFAULT_FLOW_STEPS, NeighbourhoodError, flow
+from .flow import DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, FlowError, NeighbourhoodError, flow
 from .geometry import monomial_moment
 from .operators import FieldForm01, HolField, OperatorSuite
 
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_NEIGHBOURHOOD = 3
 EXIT_BASIS_MISMATCH = 4
+EXIT_FLOW = 5
 
 VERIFY_HEADER = ["check", "residual", "tol", "status"]
 SLICE_HEADER = ["quantity", "abs_diff", "rel_diff", "tol", "status"]
@@ -67,8 +70,8 @@ class RunConfig:
             raise ValueError("--max-iter must be at least 1")
         if self.eps <= 0:
             raise ValueError("--eps must be positive")
-        if self.steps < 1:
-            raise ValueError("--steps must be at least 1")
+        if not 2 <= self.steps <= MAX_FLOW_STEPS:
+            raise ValueError(f"--steps must be between 2 and {MAX_FLOW_STEPS}")
 
     def echo(self):
         return {
@@ -94,7 +97,8 @@ def _add_config_flags(parser):
     parser.add_argument("--eps", type=float, default=1e-2,
                         help="neighbourhood radius: inputs above this norm are rejected")
     parser.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS,
-                        help=f"RK4 steps per contact flow (default {DEFAULT_FLOW_STEPS})")
+                        help="RK4 steps per contact flow, checked against half as many "
+                             f"and doubled until they agree (default {DEFAULT_FLOW_STEPS})")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for anything random (default 0)")
 
@@ -449,6 +453,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except FlowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FLOW
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from crsphere import io
-from crsphere.cli import main
+from crsphere.cli import EXIT_FLOW, main
+from crsphere.flow import MAX_FLOW_STEPS
 
 
 def run_cli(*args):
@@ -88,6 +89,29 @@ def test_exit_code_oversized_input(tmp_path):
             "--seed", "1", "--out", phi)
     assert run_cli("normal-form", "--degree", "4", "--in", phi,
                    "--out", tmp_path / "r.json") == 3
+
+
+def test_exit_code_flow_failure(tmp_path):
+    # a generator far above the flow norm cap fails in flow(); the CLI maps
+    # FlowError to its own code with a one-line message
+    phi = tmp_path / "phi.json"
+    run_cli("gen", "--kind", "prefab-normal-form", "--degree", "4", "--seed", "6",
+            "--out", phi)
+    out = subprocess.run([sys.executable, "-m", "crsphere.cli", "slice", "--degree", "4",
+                          "--in", str(phi), "--generator", "auto:50"],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == EXIT_FLOW
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("steps", [1, MAX_FLOW_STEPS + 1])
+def test_config_validation_rejects_steps_out_of_range(steps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--degree", "4", "--steps", str(steps)])
+    assert exc.value.code == 2
+    assert "--steps must be between 2 and" in capsys.readouterr().err
 
 
 def test_verify_passes_and_writes_csv(tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from crsphere.fields import complex_contact_norm, contact_from_generating
-from crsphere.flow import (DeformationTensor, FlowError, NeighbourhoodError,
-                           compose, e_remainder, flow, pullback_deformation,
-                           pullback_scalar)
+from crsphere.flow import (DEFAULT_FLOW_STEPS, DeformationTensor, FlowError,
+                           NeighbourhoodError, compose, e_remainder, flow,
+                           pullback_deformation, pullback_scalar)
 from crsphere.normal_form import random_deformation
 
 
@@ -38,6 +38,44 @@ def test_hopf_flow_closed_form(suite6):
               np.max(np.abs(F.images[:, 1] - phase * z2)))
     assert err < 1e-9
     assert F.contact_ratio < 1e-10
+
+
+def test_step_halving_check_catches_phase_error(suite6):
+    # RK4 on the Hopf rotation has a multiple of the identity as Jacobian, so
+    # the contact ratio stays at roundoff while 2 steps are about 4e-5 off;
+    # only the comparison with half as many steps forces the doublings
+    c = 0.3
+    X = contact_from_generating(suite6, suite6.basis.constant(c))
+    F = flow(X, steps=2)
+    assert F.steps > 2
+    z1, z2 = suite6.basis.grid.z1, suite6.basis.grid.z2
+    phase = np.exp(2j * c)
+    err = max(np.max(np.abs(F.images[:, 0] - phase * z1)),
+              np.max(np.abs(F.images[:, 1] - phase * z2)))
+    assert err < 1e-10
+
+
+def test_flow_error_at_step_cap_names_both_checks(suite6, monkeypatch):
+    import importlib
+    flow_mod = importlib.import_module("crsphere.flow")
+    monkeypatch.setattr(flow_mod, "MAX_FLOW_STEPS", 4)
+    X = contact_from_generating(suite6, suite6.basis.constant(0.3))
+    with pytest.raises(FlowError, match="step-halving difference .* contact ratio .* at 4 steps"):
+        flow(X, steps=2)
+
+
+def test_small_field_accepted_at_default_steps(suite6):
+    X = small_field(suite6, 72, 2e-3)
+    F = flow(X)
+    assert F.steps == DEFAULT_FLOW_STEPS
+    ref = flow(X, steps=256)
+    assert np.max(np.abs(F.images - ref.images)) < 1e-12
+    assert np.max(np.abs(F.jacobians - ref.jacobians)) < 1e-12
+
+
+def test_flow_rejects_fewer_than_two_steps(suite6):
+    with pytest.raises(ValueError):
+        flow(small_field(suite6, 73, 2e-3), steps=1)
 
 
 def test_flow_stays_on_sphere(suite6):
