@@ -6,7 +6,6 @@ inverses, contact flows with transported Jacobians, and the normal-form
 solver that conjugates a deformed structure to ``i dbar Y + psi``.
 """
 
-from ._core import IMPLEMENTATION as kernel_implementation
 from .basis import Basis, NormOrder, SpectralScalar, build_basis, frame_derivative, fs_norm, multiply
 from .fields import (
     ComplexContactField,
@@ -46,6 +45,9 @@ from .normal_form import (
 from .operators import FieldForm01, HolField, OperatorSuite, ScalarForm01
 
 __version__ = "0.1.0"
+
+# the one polynomial evaluation kernel, crsphere._core.eval_poly
+kernel_implementation = "numpy"
 
 __all__ = [
     "Basis",

@@ -1,19 +1,56 @@
-"""Kernel implementation selector.
+"""Polynomial evaluation kernel.
 
-Imports the compiled extension when available, otherwise the numpy fallback.
-Set ``CRSPHERE_PURE_PYTHON=1`` to force the fallback (used by the kernel
-agreement tests and the benchmark).
+The one hot loop in the package is evaluating many monomial-coefficient
+columns at many points (basis synthesis at quadrature nodes, and the right
+hand side of the diffeomorphism flow at every RK4 stage). Both reduce to
+
+    out[i, j] = sum_m z1[i]^a1[m] z2[i]^a2[m] conj(z1[i])^b1[m] conj(z2[i])^b2[m] C[m, j]
+
+which is a monomial design matrix times a coefficient matrix. Points are
+processed in blocks so the design matrix never holds more than a few MB.
+``flow.py`` and ``basis.py`` look ``eval_poly`` up on this module at call
+time.
 """
 
-import os
+import numpy as np
 
-if os.environ.get("CRSPHERE_PURE_PYTHON"):
-    from . import _kernels_np as _impl
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_np as _impl
+_BLOCK = 2048
 
-eval_poly = _impl.eval_poly
-IMPLEMENTATION = _impl.IMPLEMENTATION
+
+def _pow_table(w, max_degree):
+    table = np.empty((max_degree + 1,) + w.shape, dtype=complex)
+    table[0] = 1.0
+    for d in range(1, max_degree + 1):
+        table[d] = table[d - 1] * w
+    return table
+
+
+def eval_poly(z1, z2, exponents, coeff_columns):
+    """Evaluate monomial-coefficient columns at points.
+
+    Parameters
+    ----------
+    z1, z2 : complex arrays, shape (n,)
+    exponents : int array, shape (m, 4), columns (a1, a2, b1, b2)
+    coeff_columns : complex array, shape (m, k)
+
+    Returns
+    -------
+    complex array, shape (n, k)
+    """
+    z1 = np.ascontiguousarray(z1, dtype=complex)
+    z2 = np.ascontiguousarray(z2, dtype=complex)
+    coeff_columns = np.ascontiguousarray(coeff_columns, dtype=complex)
+    a1, a2, b1, b2 = (np.ascontiguousarray(exponents[:, i]) for i in range(4))
+    n = z1.shape[0]
+    out = np.empty((n, coeff_columns.shape[1]), dtype=complex)
+    max_degree = int(exponents.max(initial=0))
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        p1 = _pow_table(z1[start:stop], max_degree)
+        p2 = _pow_table(z2[start:stop], max_degree)
+        q1 = np.conj(p1)
+        q2 = np.conj(p2)
+        design = (p1[a1] * p2[a2] * q1[b1] * q2[b2]).T
+        out[start:stop] = design @ coeff_columns
+    return out

@@ -280,6 +280,19 @@ class Basis:
         """L^2-orthogonal projection of nodewise values onto the basis."""
         return self._projector @ values
 
+    def project_with_mass(self, values):
+        """Project nodewise values and record the discarded mass.
+
+        The mass is the quadrature norm of ``values`` minus the norm of the
+        projection (in squares, clamped at zero), stored on the result's
+        ``meta["truncation_mass"]``.
+        """
+        coeffs = self.project_values(values)
+        total2 = float(np.dot(self.grid.weights_normalized, np.abs(values) ** 2))
+        kept2 = float(np.real(np.vdot(coeffs, coeffs)))
+        mass = math.sqrt(max(total2 - kept2, 0.0))
+        return SpectralScalar(self, coeffs, meta={"truncation_mass": mass})
+
     def monomial_coefficients(self, coeffs):
         return self.coeffs @ coeffs
 
@@ -436,18 +449,11 @@ def multiply(f, g):
     """Pointwise product projected back onto the basis.
 
     The product is formed nodewise on the quadrature grid and projected
-    L^2-orthogonally; the discarded mass (quadrature norm of product minus
-    norm of the projection, clamped at zero) is recorded on the result's
-    ``meta["truncation_mass"]``.
+    L^2-orthogonally; the discarded mass is recorded as in
+    :meth:`Basis.project_with_mass`.
     """
     f._check(g)
-    basis = f.basis
-    values = f.values() * g.values()
-    coeffs = basis.project_values(values)
-    total2 = float(np.real(np.dot(basis.grid.weights_normalized, np.abs(values) ** 2)))
-    kept2 = float(np.real(np.vdot(coeffs, coeffs)))
-    mass = math.sqrt(max(total2 - kept2, 0.0))
-    return SpectralScalar(basis, coeffs, meta={"truncation_mass": mass})
+    return f.basis.project_with_mass(f.values() * g.values())
 
 
 def fs_norm(f, order):

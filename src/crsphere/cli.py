@@ -15,8 +15,9 @@ Exit codes: 0 success, 2 iteration did not converge, 3 deformation left the
 parameterized neighbourhood (or was too large to start), 4 stored
 coefficients belong to a different basis build, 5 a contact flow failed
 (field too large to flow, or no step count up to the cap passed the
-step-halving and contact checks). Checks that fail in ``verify``/``slice``
-exit 1. argparse keeps its usual 2 for bad flags.
+step-halving and contact checks), 6 an input file cannot be read or is not
+JSON, or an output file cannot be written. Checks that fail in
+``verify``/``slice`` exit 1. argparse keeps its usual 2 for bad flags.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_NEIGHBOURHOOD = 3
 EXIT_BASIS_MISMATCH = 4
 EXIT_FLOW = 5
+EXIT_INPUT = 6
 
 VERIFY_HEADER = ["check", "residual", "tol", "status"]
 SLICE_HEADER = ["quantity", "abs_diff", "rel_diff", "tol", "status"]
@@ -456,6 +458,9 @@ def main(argv=None) -> int:
     except FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLOW
+    except (OSError, _io.InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -288,11 +288,7 @@ def pullback_scalar(F: ContactDiffeo, f: SpectralScalar) -> SpectralScalar:
     """f ∘ F by exact polynomial evaluation at mapped nodes, then projection."""
     basis = F.basis
     values = basis.eval_columns(F.images[:, 0], F.images[:, 1], f.coeffs[:, None])[:, 0]
-    out = basis.from_values(values)
-    total2 = float(np.dot(basis.grid.weights_normalized, np.abs(values) ** 2))
-    kept2 = float(np.real(np.vdot(out.coeffs, out.coeffs)))
-    out.meta["truncation_mass"] = float(np.sqrt(max(total2 - kept2, 0.0)))
-    return out
+    return basis.project_with_mass(values)
 
 
 def _pullback_frame_values(F: ContactDiffeo, comp_values):
@@ -325,13 +321,7 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     min_a = float(np.abs(a_vals).min())
     if min_a < _MIN_ABS_A:
         raise NeighbourhoodError(f"structure left the parameterized neighbourhood (|A| = {min_a:.3f})")
-    mu_vals = b_vals / a_vals
-    out = basis.from_values(mu_vals)
-    total2 = float(np.dot(basis.grid.weights_normalized, np.abs(mu_vals) ** 2))
-    kept2 = float(np.real(np.vdot(out.coeffs, out.coeffs)))
-    out.meta["truncation_mass"] = float(np.sqrt(max(total2 - kept2, 0.0)))
-    result = DeformationTensor(out)
-    return result
+    return DeformationTensor(basis.project_with_mass(b_vals / a_vals))
 
 
 def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,

@@ -25,6 +25,11 @@ class BasisMismatchError(RuntimeError):
     """Serialized coefficients belong to a different basis build."""
 
 
+class InputError(Exception):
+    """An input file cannot be decoded. Deliberately not a ``ValueError``,
+    which the CLI reads as a deformation outside the solver neighbourhood."""
+
+
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
@@ -64,8 +69,13 @@ def write_json(path, obj):
 
 
 def read_json(path):
+    """Parsed JSON; ``OSError`` if the file cannot be read, ``InputError``
+    if its text cannot be decoded or is not JSON."""
     with open(path, "r") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{path}: not valid JSON ({exc})") from None
 
 
 def write_csv(path, header, rows, preamble=None):

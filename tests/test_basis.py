@@ -177,6 +177,22 @@ def test_projection_roundtrip(basis6):
     assert np.max(np.abs(back - f.coeffs)) < 1e-11
 
 
+def test_project_with_mass_measures_discarded_part(basis6):
+    # z1^(N+1) is a degree-(N+1) spherical harmonic, orthogonal to the
+    # basis; its mean square on the sphere is 1/(N+2) (exact moment)
+    rng = np.random.default_rng(11)
+    f = basis6.random_scalar(rng)
+    z1 = basis6.grid.z1
+    c = 0.5
+    out = basis6.project_with_mass(f.values() + c * z1 ** (basis6.degree + 1))
+    assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-12
+    expect = c / np.sqrt(basis6.degree + 2)
+    assert abs(out.meta["truncation_mass"] - expect) < 1e-12
+    # in the span only roundoff is left, seen through a square root of a
+    # difference of squares: about 2e-7 here
+    assert basis6.project_with_mass(f.values()).meta["truncation_mass"] < 1e-6
+
+
 def test_basis_id_stability():
     a = build_basis(4)
     b = build_basis(4)

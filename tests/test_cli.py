@@ -7,12 +7,24 @@ import sys
 import pytest
 
 from crsphere import io
-from crsphere.cli import EXIT_FLOW, main
+from crsphere.cli import EXIT_FLOW, EXIT_INPUT, main
 from crsphere.flow import MAX_FLOW_STEPS
 
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def run_cli_subprocess(*args):
+    return subprocess.run([sys.executable, "-m", "crsphere.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def assert_one_line_error(out, code):
+    assert out.returncode == code
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in out.stderr
 
 
 def test_gen_writes_config_and_provenance(tmp_path):
@@ -97,13 +109,36 @@ def test_exit_code_flow_failure(tmp_path):
     phi = tmp_path / "phi.json"
     run_cli("gen", "--kind", "prefab-normal-form", "--degree", "4", "--seed", "6",
             "--out", phi)
-    out = subprocess.run([sys.executable, "-m", "crsphere.cli", "slice", "--degree", "4",
-                          "--in", str(phi), "--generator", "auto:50"],
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == EXIT_FLOW
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Traceback" not in out.stderr
+    out = run_cli_subprocess("slice", "--degree", "4", "--in", phi, "--generator", "auto:50")
+    assert_one_line_error(out, EXIT_FLOW)
+
+
+@pytest.mark.parametrize("command", [
+    ["normal-form"],
+    ["slice", "--generator", "auto"],
+], ids=["normal-form", "slice"])
+def test_exit_code_missing_input(tmp_path, command):
+    missing = tmp_path / "absent.json"
+    out = run_cli_subprocess(*command, "--degree", "4", "--in", missing,
+                             "--out", tmp_path / "r.json")
+    assert_one_line_error(out, EXIT_INPUT)
+    assert str(missing) in out.stderr
+
+
+def test_exit_code_malformed_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "deformation_tensor", ')
+    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", bad,
+                             "--out", tmp_path / "r.json")
+    assert_one_line_error(out, EXIT_INPUT)
+    assert "not valid JSON" in out.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_exit_code_unwritable_out(tmp_path):
+    out = run_cli_subprocess("gen", "--kind", "random", "--degree", "4",
+                             "--out", tmp_path / "no-such-dir" / "phi.json")
+    assert_one_line_error(out, EXIT_INPUT)
 
 
 @pytest.mark.parametrize("steps", [1, MAX_FLOW_STEPS + 1])

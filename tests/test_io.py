@@ -60,6 +60,18 @@ def test_deformation_rejects_wrong_type(basis6):
         io.deformation_from_json(basis6, {"type": "junk"})
 
 
+def test_read_json_rejects_malformed_as_input_error(tmp_path):
+    # not a ValueError: the CLI maps ValueError to "outside the neighbourhood"
+    assert not issubclass(io.InputError, ValueError)
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2")
+    with pytest.raises(io.InputError, match="not valid JSON"):
+        io.read_json(path)
+    path.write_bytes(b"\xff\xfe\x00")
+    with pytest.raises(io.InputError):
+        io.read_json(path)
+
+
 def test_contact_field_roundtrip(suite6):
     from crsphere.fields import contact_from_generating
     rng = np.random.default_rng(104)

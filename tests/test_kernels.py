@@ -1,20 +1,10 @@
-"""Compiled kernel vs numpy fallback: agreement and selection."""
-
-import os
-import subprocess
-import sys
+"""Polynomial evaluation kernel against a direct monomial sum."""
 
 import numpy as np
 import pytest
 
-from crsphere import _kernels_np
-
-try:
-    from crsphere import _kernels
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
+import crsphere
+from crsphere import _core
 
 
 def random_case(rng, n, m, k, max_degree):
@@ -26,88 +16,43 @@ def random_case(rng, n, m, k, max_degree):
     return z1, z2, exps, cc
 
 
-@needs_compiled
-@pytest.mark.parametrize("n,m,k,deg", [
-    (1, 1, 1, 0),
-    (7, 3, 2, 5),
-    (100, 60, 10, 8),
-    (3000, 200, 5, 12),     # crosses the block boundary
-    (513, 495, 285, 8),     # wide GEMM path
-])
-def test_agreement(n, m, k, deg):
-    rng = np.random.default_rng(n * 1000 + m)
-    z1, z2, exps, cc = random_case(rng, n, m, k, deg)
-    a = _kernels.eval_poly(z1, z2, exps, cc)
-    b = _kernels_np.eval_poly(z1, z2, exps, cc)
-    assert a.shape == (n, k)
-    assert np.max(np.abs(a - b)) < 1e-11
-
-
-@needs_compiled
-def test_agreement_off_sphere_points():
+def off_sphere_case(rng):
     # nothing in the contract requires |z| = 1
-    rng = np.random.default_rng(12)
     z1 = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     z2 = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     exps = rng.integers(0, 6, size=(40, 4))
     cc = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
-    a = _kernels.eval_poly(z1, z2, exps, cc)
-    b = _kernels_np.eval_poly(z1, z2, exps, cc)
-    assert np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))) < 1e-12
+    return z1, z2, exps, cc
 
 
-def test_numpy_kernel_against_direct_sum():
-    rng = np.random.default_rng(13)
-    z1, z2, exps, cc = random_case(rng, 11, 9, 4, 5)
-    got = _kernels_np.eval_poly(z1, z2, exps, cc)
-    expect = np.zeros((11, 4), dtype=complex)
-    for i in range(11):
-        for j in range(9):
-            a1, a2, b1, b2 = exps[j]
-            mono = (z1[i] ** a1 * z2[i] ** a2
-                    * np.conj(z1[i]) ** b1 * np.conj(z2[i]) ** b2)
-            expect[i] += mono * cc[j]
-    assert np.max(np.abs(got - expect)) < 1e-12
+def direct_sum(z1, z2, exps, cc):
+    """sum_m z1^a1 z2^a2 conj(z1)^b1 conj(z2)^b2 C[m], with ``**`` powers."""
+    out = np.zeros((z1.shape[0], cc.shape[1]), dtype=complex)
+    for (a1, a2, b1, b2), row in zip(exps.tolist(), cc):
+        mono = z1 ** a1 * z2 ** a2 * np.conj(z1) ** b1 * np.conj(z2) ** b2
+        out += mono[:, None] * row
+    return out
 
 
-def test_env_var_selects_fallback():
-    code = "import crsphere; print(crsphere.kernel_implementation)"
-    env = dict(os.environ, CRSPHERE_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+@pytest.mark.parametrize("case,tol,relative", [
+    pytest.param(lambda: random_case(np.random.default_rng(13), 11, 9, 4, 5),
+                 1e-12, False, id="small"),
+    pytest.param(lambda: random_case(np.random.default_rng(1001), 1, 1, 1, 0),
+                 1e-11, False, id="constant"),
+    # 3000 points: two blocks of _core._BLOCK = 2048
+    pytest.param(lambda: random_case(np.random.default_rng(3000200), 3000, 200, 5, 12),
+                 1e-11, False, id="crosses-block"),
+    pytest.param(lambda: off_sphere_case(np.random.default_rng(12)),
+                 1e-12, True, id="off-sphere"),
+])
+def test_numpy_kernel_against_direct_sum(case, tol, relative):
+    z1, z2, exps, cc = case()
+    got = _core.eval_poly(z1, z2, exps, cc)
+    expect = direct_sum(z1, z2, exps, cc)
+    assert got.shape == expect.shape
+    scale = max(1.0, np.max(np.abs(expect))) if relative else 1.0
+    assert np.max(np.abs(got - expect)) / scale < tol
 
 
-@needs_compiled
-def test_default_selects_compiled():
-    env = {k: v for k, v in os.environ.items() if k != "CRSPHERE_PURE_PYTHON"}
-    code = "import crsphere; print(crsphere.kernel_implementation)"
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "cython"
-
-
-def test_full_pipeline_matches_under_fallback(tmp_path):
-    # a small end-to-end solve must give the same answer on both kernels
-    script = tmp_path / "run.py"
-    script.write_text(
-        "import numpy as np\n"
-        "from crsphere import build_basis, solve, random_deformation\n"
-        "from crsphere.operators import OperatorSuite\n"
-        "suite = OperatorSuite(build_basis(4))\n"
-        "phi = random_deformation(suite.basis, np.random.default_rng(0), 1e-3)\n"
-        "r = solve(suite, phi, steps=8)\n"
-        "print(repr(r.defining_residual()), repr(r.y.fs_norm(2)))\n")
-    outs = []
-    for force in ("", "1"):
-        env = dict(os.environ)
-        env.pop("CRSPHERE_PURE_PYTHON", None)
-        if force:
-            env["CRSPHERE_PURE_PYTHON"] = force
-        out = subprocess.run([sys.executable, str(script)], env=env,
-                             capture_output=True, text=True, check=True)
-        outs.append(out.stdout)
-    lhs = [float(x) for x in outs[0].split()]
-    rhs = [float(x) for x in outs[1].split()]
-    assert abs(lhs[0] - rhs[0]) < 1e-12
-    assert abs(lhs[1] - rhs[1]) < 1e-9 * max(1.0, abs(rhs[1]))
+def test_kernel_implementation_is_numpy():
+    assert crsphere.kernel_implementation == "numpy"
