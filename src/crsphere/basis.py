@@ -147,7 +147,6 @@ class Basis:
         self.t_eigs = 1j * kappa * (self.k1 + self.k2).astype(np.float64)
 
         self.node_values = self.eval_columns(grid.z1, grid.z2, np.eye(self.size))
-        self._projector = (self.node_values * grid.weights_normalized[:, None]).conj().T
 
         self.frame_z_matrix, self.frame_zbar_matrix = self._assemble_frame_matrices()
         z, zb = self.frame_z_matrix, self.frame_zbar_matrix
@@ -277,20 +276,21 @@ class Basis:
                                self.exponents, np.ascontiguousarray(mono))
 
     def project_values(self, values):
-        """L^2-orthogonal projection of nodewise values onto the basis."""
-        return self._projector @ values
+        """L^2-orthogonal projection of a vector of nodewise values onto the
+        basis: the weighted adjoint of ``node_values``, applied without a copy."""
+        w = self.grid.weights_normalized
+        return np.conj(self.node_values.T @ np.conj(w * values))
 
     def project_with_mass(self, values):
         """Project nodewise values and record the discarded mass.
 
-        The mass is the quadrature norm of ``values`` minus the norm of the
-        projection (in squares, clamped at zero), stored on the result's
+        The mass is the quadrature norm of ``values`` minus their projection,
+        synthesized back at the nodes, stored on the result's
         ``meta["truncation_mass"]``.
         """
         coeffs = self.project_values(values)
-        total2 = float(np.dot(self.grid.weights_normalized, np.abs(values) ** 2))
-        kept2 = float(np.real(np.vdot(coeffs, coeffs)))
-        mass = math.sqrt(max(total2 - kept2, 0.0))
+        residual = values - self.node_values @ coeffs
+        mass = math.sqrt(float(np.dot(self.grid.weights_normalized, np.abs(residual) ** 2)))
         return SpectralScalar(self, coeffs, meta={"truncation_mass": mass})
 
     def monomial_coefficients(self, coeffs):

@@ -15,8 +15,9 @@ Exit codes: 0 success, 2 iteration did not converge, 3 deformation left the
 parameterized neighbourhood (or was too large to start), 4 stored
 coefficients belong to a different basis build, 5 a contact flow failed
 (field too large to flow, or no step count up to the cap passed the
-step-halving and contact checks), 6 an input file cannot be read or is not
-JSON, or an output file cannot be written. Checks that fail in
+step-halving and contact checks), 6 an input file cannot be read, is not
+JSON, lacks a required key or holds a malformed or non-finite (NaN, inf)
+coefficient, or an output file cannot be written. Checks that fail in
 ``verify``/``slice`` exit 1. argparse keeps its usual 2 for bad flags.
 """
 

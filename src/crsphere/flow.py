@@ -23,9 +23,9 @@ Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 
     A = ω̂_{F(x)}(dF Z),   B = ω̂_{F(x)}(dF Z̄),   μ = B / A,
 
-computed nodewise and projected back to the basis. The composition factor
-φ∘F may be frozen at a different diffeomorphism (the remainder E and the
-contraction map need that variant).
+read nodewise from the Z and Z̄ columns of F's frame maps and projected back
+to the basis. The composition factor φ∘F may be frozen at a different
+diffeomorphism (the remainder E and the contraction map need that variant).
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class DeformationTensor:
 
     def __post_init__(self):
         sup = self.sup_abs()
-        if sup >= 1.0:
-            raise ValueError(f"deformation tensor has |phi| = {sup:.3f} >= 1 at a node")
+        if not sup < 1.0:  # a NaN fails this too
+            raise ValueError(f"deformation tensor has sup |phi| = {sup:.3f}, not below 1")
 
     @property
     def basis(self):
@@ -101,25 +101,23 @@ class DeformationTensor:
 
 def _flow_columns(X: ContactField):
     """Monomial rows and the 10 coefficient columns (g, h and their four
-    ambient derivatives each) used by the flow right-hand side."""
+    ambient derivatives each) used by the flow right-hand side. Lowering one
+    exponent is injective, so each derivative column is one indexed update."""
     basis = X.basis
     exps = basis.exponents
-    index = {tuple(e): i for i, e in enumerate(exps)}
+    position = np.zeros((basis.degree + 1,) * 4, dtype=np.int64)
+    position[tuple(exps.T)] = np.arange(len(exps))
     cols = np.zeros((len(exps), 10), dtype=complex)
     cols[:, 0] = basis.monomial_coefficients(X.generating.coeffs)
     cols[:, 1] = basis.monomial_coefficients(X.horizontal.coeffs)
-    for src, base in ((0, 2), (1, 6)):
-        for i, (a1, a2, b1, b2) in enumerate(exps):
-            c = cols[i, src]
-            if c == 0:
-                continue
-            for var, (e1, e2, e3, e4) in enumerate(((a1 - 1, a2, b1, b2),
-                                                    (a1, a2 - 1, b1, b2),
-                                                    (a1, a2, b1 - 1, b2),
-                                                    (a1, a2, b1, b2 - 1))):
-                power = (a1, a2, b1, b2)[var]
-                if power:
-                    cols[index[(e1, e2, e3, e4)], base + var] += power * c
+    for var in range(4):
+        rows = np.flatnonzero(exps[:, var])
+        lowered = exps[rows].copy()
+        lowered[:, var] -= 1
+        target = position[tuple(lowered.T)]
+        power = exps[rows, var]
+        for src, base in ((0, 2), (1, 6)):
+            cols[target, base + var] += power * cols[rows, src]
     peak = np.abs(cols).max()
     if peak > 0:
         keep = np.abs(cols).max(axis=1) > _ROW_COMPRESS_REL * peak
@@ -203,7 +201,7 @@ class ContactDiffeo:
     steps: int
     images: np.ndarray          # (n, 2)
     jacobians: np.ndarray       # (n, 2, 4), rows F1, F2 over (z1, z2, z̄1, z̄2)
-    frame_maps: np.ndarray = field(repr=False, default=None)
+    frame_maps: np.ndarray = field(repr=False)  # (n, 3, 3), see _frame_maps
     contact_ratio: float = 0.0
 
     @staticmethod
@@ -286,24 +284,7 @@ def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
 
 def pullback_scalar(F: ContactDiffeo, f: SpectralScalar) -> SpectralScalar:
     """f ∘ F by exact polynomial evaluation at mapped nodes, then projection."""
-    basis = F.basis
-    values = basis.eval_columns(F.images[:, 0], F.images[:, 1], f.coeffs[:, None])[:, 0]
-    return basis.project_with_mass(values)
-
-
-def _pullback_frame_values(F: ContactDiffeo, comp_values):
-    """Nodewise A, B of the deformation action for ω̂ = ω + (φ∘F) ω̄."""
-    basis = F.basis
-    geom = basis.geometry
-    nodes_z1, nodes_z2 = basis.grid.z1, basis.grid.z2
-    _, z_vec, zb_vec = geom.frame_vectors(nodes_z1, nodes_z2)
-    full = _jac_full(F.jacobians)
-    w1, w2 = F.images[:, 0], F.images[:, 1]
-    out = []
-    for vec in (z_vec, zb_vec):
-        pushed = np.einsum("nkc,nc->nk", full, vec)
-        out.append(geom.omega(w1, w2, pushed) + comp_values * geom.omega_bar(w1, w2, pushed))
-    return out  # A, B
+    return F.basis.project_with_mass(f.eval(F.images[:, 0], F.images[:, 1]))
 
 
 def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
@@ -313,15 +294,16 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     ``composition_values`` freezes the φ∘F factor at given nodewise values
     (used by the remainder map); by default it is φ evaluated at F's images.
     """
-    basis = F.basis
     if composition_values is None:
-        composition_values = basis.eval_columns(
-            F.images[:, 0], F.images[:, 1], phi.coefficient.coeffs[:, None])[:, 0]
-    a_vals, b_vals = _pullback_frame_values(F, composition_values)
+        composition_values = phi.coefficient.eval(F.images[:, 0], F.images[:, 1])
+    # ω and ω̄ at F(x) of dF Z and dF Z̄ are columns 1 and 2 of the frame maps
+    maps = F.frame_maps
+    a_vals = maps[:, 1, 1] + composition_values * maps[:, 2, 1]
+    b_vals = maps[:, 1, 2] + composition_values * maps[:, 2, 2]
     min_a = float(np.abs(a_vals).min())
     if min_a < _MIN_ABS_A:
         raise NeighbourhoodError(f"structure left the parameterized neighbourhood (|A| = {min_a:.3f})")
-    return DeformationTensor(basis.project_with_mass(b_vals / a_vals))
+    return DeformationTensor(F.basis.project_with_mass(b_vals / a_vals))
 
 
 def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,
@@ -334,8 +316,7 @@ def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,
     basis = X.basis
     F = flow(X, steps=steps)
     Fc = F if compose_with is None else compose_with
-    comp_values = basis.eval_columns(
-        Fc.images[:, 0], Fc.images[:, 1], phi.coefficient.coeffs[:, None])[:, 0]
+    comp_values = phi.coefficient.eval(Fc.images[:, 0], Fc.images[:, 1])
     mu = pullback_deformation(F, phi, composition_values=comp_values)
     dbar_x = suite.dbar_field(X.as_hol_field())
     comp_proj = basis.from_values(comp_values)

@@ -26,8 +26,9 @@ class BasisMismatchError(RuntimeError):
 
 
 class InputError(Exception):
-    """An input file cannot be decoded. Deliberately not a ``ValueError``,
-    which the CLI reads as a deformation outside the solver neighbourhood."""
+    """An input file cannot be decoded, lacks a required key or holds a
+    non-finite coefficient. Deliberately not a ``ValueError``, which the CLI
+    reads as a deformation outside the solver neighbourhood."""
 
 
 def canonical_dumps(obj) -> str:
@@ -115,10 +116,26 @@ def _pairs(coeffs):
 
 
 def _unpairs(pairs):
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric entries
+        arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("coefficient list must be [[re, im], ...]")
+        raise InputError("coefficient list must be [[re, im], ...]")
+    if not np.isfinite(arr).all():
+        raise InputError("coefficient list holds a NaN or infinite value")
     return arr[:, 0] + 1j * arr[:, 1]
+
+
+def _require(obj, *keys):
+    """The values of ``keys`` in a decoded JSON object, or InputError naming
+    the first key that is missing."""
+    if not isinstance(obj, dict):
+        raise InputError(f"expected a JSON object with keys {', '.join(keys)}")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"missing key {key!r}")
+    return [obj[key] for key in keys]
 
 
 def scalar_to_json(f: SpectralScalar):
@@ -130,11 +147,12 @@ def scalar_to_json(f: SpectralScalar):
 
 
 def scalar_from_json(basis: Basis, obj) -> SpectralScalar:
-    if obj["basis_id"] != basis.basis_id:
+    basis_id, degree, pairs = _require(obj, "basis_id", "degree", "coeffs")
+    if basis_id != basis.basis_id:
         raise BasisMismatchError(
-            f"file basis {obj['basis_id']} (N={obj['degree']}) does not match "
+            f"file basis {basis_id} (N={degree}) does not match "
             f"built basis {basis.basis_id} (N={basis.degree})")
-    coeffs = _unpairs(obj["coeffs"])
+    coeffs = _unpairs(pairs)
     if coeffs.shape[0] != basis.size:
         raise BasisMismatchError("coefficient count does not match basis size")
     return basis.scalar(coeffs)
@@ -154,9 +172,9 @@ def deformation_to_json(phi, config=None, provenance=None):
 
 def deformation_from_json(basis: Basis, obj):
     from .flow import DeformationTensor
-    if obj.get("type") != "deformation_tensor":
+    if _require(obj, "type")[0] != "deformation_tensor":
         raise ValueError("not a deformation tensor file")
-    return DeformationTensor(scalar_from_json(basis, obj["coefficient"]))
+    return DeformationTensor(scalar_from_json(basis, _require(obj, "coefficient")[0]))
 
 
 def contact_field_to_json(X):
@@ -170,11 +188,11 @@ def contact_field_to_json(X):
 
 def contact_field_from_json(suite, obj):
     from .fields import contact_from_generating
-    if obj.get("kind") != "contact":
+    if _require(obj, "kind")[0] != "contact":
         raise ValueError("not a contact field file")
-    g = scalar_from_json(suite.basis, {"basis_id": obj["basis_id"],
-                                       "degree": obj["degree"],
-                                       "coeffs": obj["g"]})
+    basis_id, degree, pairs = _require(obj, "basis_id", "degree", "g")
+    g = scalar_from_json(suite.basis, {"basis_id": basis_id, "degree": degree,
+                                       "coeffs": pairs})
     return contact_from_generating(suite, g.real_part())
 
 

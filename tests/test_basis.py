@@ -193,6 +193,14 @@ def test_project_with_mass_measures_discarded_part(basis6):
     assert basis6.project_with_mass(f.values()).meta["truncation_mass"] < 1e-6
 
 
+def test_project_with_mass_in_span_is_roundoff(basis6):
+    # the mass is the norm of the residual at the nodes, not a difference of
+    # squares, so a scalar in the span reports roundoff, not sqrt(eps)
+    for seed in range(8):
+        f = basis6.random_scalar(np.random.default_rng(seed))
+        assert basis6.project_with_mass(f.values()).meta["truncation_mass"] < 1e-12, seed
+
+
 def test_basis_id_stability():
     a = build_basis(4)
     b = build_basis(4)

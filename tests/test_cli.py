@@ -135,6 +135,36 @@ def test_exit_code_malformed_json(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+def _drop_coefficient(obj):
+    del obj["coefficient"]
+
+
+def _drop_degree(obj):
+    del obj["coefficient"]["degree"]
+
+
+def _nan_coefficient(obj):
+    obj["coefficient"]["coeffs"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_coefficient, "missing key 'coefficient'"),
+    (_drop_degree, "missing key 'degree'"),
+    (_nan_coefficient, "NaN or infinite"),
+], ids=["missing-coefficient", "missing-degree", "nan-coefficient"])
+def test_exit_code_bad_deformation_file(tmp_path, edit, message):
+    phi = tmp_path / "phi.json"
+    run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "0", "--out", phi)
+    obj = json.loads(phi.read_text())
+    edit(obj)
+    phi.write_text(json.dumps(obj))  # json.dumps writes a NaN as the bare token NaN
+    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", phi,
+                             "--out", tmp_path / "r.json")
+    assert_one_line_error(out, EXIT_INPUT)
+    assert message in out.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_exit_code_unwritable_out(tmp_path):
     out = run_cli_subprocess("gen", "--kind", "random", "--degree", "4",
                              "--out", tmp_path / "no-such-dir" / "phi.json")

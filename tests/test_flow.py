@@ -137,6 +137,68 @@ def test_deformation_tensor_size_guard(suite6):
     big = suite6.basis.constant(1.5)
     with pytest.raises(ValueError):
         DeformationTensor(big)
+    with pytest.raises(ValueError):
+        DeformationTensor(suite6.basis.constant(float("nan")))
+
+
+def test_pullback_matches_explicit_frame_pushforward(suite6):
+    # reference: push Z and Zb through the completed Jacobian at the nodes
+    # and pair with omega, omega-bar at the images, A = omega(dF Z) +
+    # (phi o F) omega-bar(dF Z), B likewise with Zb; the production path
+    # reads the same pairings from the stored frame maps
+    basis = suite6.basis
+    geom = basis.geometry
+    F = flow(small_field(suite6, 74, 0.2, max_degree=3), steps=16)
+    phi = random_deformation(basis, np.random.default_rng(75), 5e-3)
+    jac = F.jacobians
+    full = np.concatenate([jac, np.conj(jac[:, :, [2, 3, 0, 1]])], axis=1)
+    _, z_vec, zb_vec = geom.frame_vectors(basis.grid.z1, basis.grid.z2)
+    w1, w2 = F.images[:, 0], F.images[:, 1]
+    comp = basis.eval_columns(w1, w2, phi.coefficient.coeffs[:, None])[:, 0]
+    out = []
+    for vec in (z_vec, zb_vec):
+        pushed = np.einsum("nkc,nc->nk", full, vec)
+        out.append(geom.omega(w1, w2, pushed) + comp * geom.omega_bar(w1, w2, pushed))
+    a_vals, b_vals = out
+    expect = basis.project_with_mass(b_vals / a_vals)
+    got = pullback_deformation(F, phi).coefficient
+    assert np.array_equal(got.coeffs, expect.coeffs)
+    assert got.meta == expect.meta
+    nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
+    assert np.abs(F.images - nodes).max() > 1e-3 and np.abs(comp).max() > 0.0
+
+
+def _flow_columns_per_monomial(X):
+    """The flow columns by a dict lookup per monomial and variable."""
+    basis = X.basis
+    exps = basis.exponents
+    index = {tuple(e): i for i, e in enumerate(exps)}
+    cols = np.zeros((len(exps), 10), dtype=complex)
+    cols[:, 0] = basis.monomial_coefficients(X.generating.coeffs)
+    cols[:, 1] = basis.monomial_coefficients(X.horizontal.coeffs)
+    for src, base in ((0, 2), (1, 6)):
+        for i, e in enumerate(exps):
+            c = cols[i, src]
+            if c == 0:
+                continue
+            for var in range(4):
+                if e[var]:
+                    lowered = list(e)
+                    lowered[var] -= 1
+                    cols[index[tuple(lowered)], base + var] += e[var] * c
+    return cols
+
+
+def test_flow_columns_match_per_monomial_loop(suite6):
+    from crsphere.flow import _flow_columns
+    X = small_field(suite6, 76, 1e-2, max_degree=6)
+    exps, cols = _flow_columns(X)
+    expect = _flow_columns_per_monomial(X)
+    rows = [int(np.flatnonzero((suite6.basis.exponents == e).all(axis=1))[0]) for e in exps]
+    assert np.array_equal(cols, expect[rows])
+    dropped = np.setdiff1d(np.arange(len(expect)), rows)
+    assert np.abs(expect[dropped]).max(initial=0.0) <= 1e-13 * np.abs(expect).max()
+    assert len(rows) > 10
 
 
 def test_neighbourhood_guard_raises(suite6, monkeypatch):

@@ -72,6 +72,29 @@ def test_read_json_rejects_malformed_as_input_error(tmp_path):
         io.read_json(path)
 
 
+def test_loaders_reject_missing_keys_and_non_finite_as_input_error(suite6):
+    from crsphere.fields import contact_from_generating
+    basis = suite6.basis
+    good = io.scalar_to_json(basis.random_scalar(np.random.default_rng(106)))
+    with pytest.raises(io.InputError, match="'coefficient'"):
+        io.deformation_from_json(basis, {"type": "deformation_tensor"})
+    with pytest.raises(io.InputError, match="'basis_id'"):
+        io.scalar_from_json(basis, {"degree": 6, "coeffs": good["coeffs"]})
+    with pytest.raises(io.InputError):
+        io.scalar_from_json(basis, [good])
+    field = io.contact_field_to_json(contact_from_generating(suite6, basis.zero()))
+    del field["g"]
+    with pytest.raises(io.InputError, match="'g'"):
+        io.contact_field_from_json(suite6, field)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        pairs = [list(pair) for pair in good["coeffs"]]
+        pairs[3][1] = bad
+        with pytest.raises(io.InputError, match="NaN or infinite"):
+            io.scalar_from_json(basis, dict(good, coeffs=pairs))
+    with pytest.raises(io.InputError, match=r"\[\[re, im\], \.\.\.\]"):
+        io.scalar_from_json(basis, dict(good, coeffs=[[1.0, 2.0, 3.0]]))
+
+
 def test_contact_field_roundtrip(suite6):
     from crsphere.fields import contact_from_generating
     rng = np.random.default_rng(104)
