@@ -6,7 +6,7 @@ inverses, contact flows with transported Jacobians, and the normal-form
 solver that conjugates a deformed structure to ``i dbar Y + psi``.
 """
 
-from .basis import Basis, NormOrder, SpectralScalar, build_basis, frame_derivative, fs_norm, multiply
+from .basis import Basis, SpectralScalar, build_basis, frame_derivative, fs_norm, multiply
 from .fields import (
     ComplexContactField,
     ContactField,
@@ -61,7 +61,6 @@ __all__ = [
     "FlowError",
     "HolField",
     "NeighbourhoodError",
-    "NormOrder",
     "NormalFormResult",
     "OperatorSuite",
     "QuadratureGrid",

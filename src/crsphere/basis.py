@@ -27,6 +27,14 @@ one-dimensional); their sparse matrices are assembled from exact rational
 pairings and the 1-sparsity is asserted, not assumed. Both keep k1 - k2 and the
 degree, so they act within the (degree, k1 - k2) chains of the basis. T acts
 diagonally with eigenvalue ``i * kappa * (k1 + k2)``.
+
+A basis function separates as ``R_j(u) e^{i k1 phi1} e^{i k2 phi2}`` with
+``u = |z2|^2``, and the grid is Gauss in ``u`` times an equispaced torus, so
+only the real table ``radial = R_j(u_r)`` (the basis at the radial nodes
+with ``phi1 = phi2 = 0``) is stored. Synthesis at the nodes and projection
+are a 2-D FFT per radial node plus a sum against it (the transform pattern
+of Driscoll & Healy, 1994): the same quadrature sums as a dense
+nodes-by-basis matrix, so aliasing is unchanged.
 """
 
 from __future__ import annotations
@@ -42,9 +50,6 @@ from . import _core
 from .geometry import QuadratureGrid, ReferenceGeometry, monomial_moment
 
 PIVOT_RELATIVE_THRESHOLD = Fraction(1, 10 ** 12)
-
-#: Folland-Stein norms are indexed by a non-negative word-length order.
-NormOrder = int
 
 
 def monomial_exponents(degree):
@@ -146,7 +151,9 @@ class Basis:
         kappa = float(geometry.kappa)
         self.t_eigs = 1j * kappa * (self.k1 + self.k2).astype(np.float64)
 
-        self.node_values = self.eval_columns(grid.z1, grid.z2, np.eye(self.size))
+        self.radial = self.eval_columns(np.sqrt(1.0 - grid.u), np.sqrt(grid.u),
+                                        np.eye(self.size)).real
+        self._torus_slot = (self.k1 % grid.n_phi) * grid.n_phi + self.k2 % grid.n_phi
 
         self.frame_z_matrix, self.frame_zbar_matrix = self._assemble_frame_matrices()
         z, zb = self.frame_z_matrix, self.frame_zbar_matrix
@@ -245,12 +252,13 @@ class Basis:
                 # the image must be entirely in slot j: |<img, b_j>|^2 = |img|^2 |b_j|^2
                 if img_norm2 * n2_j != inner * inner:
                     raise AssertionError("frame derivative image is not 1-sparse")
-                # normalized entry <op beta_i, beta_j>; its square is rational
+                # normalized entry <op beta_i, beta_j>: its square is rational,
+                # its sign that of the exact pairing
                 entry2 = inner * inner / (n2_i * n2_j)
                 rows, cols, vals = entries[op]
                 rows.append(j)
                 cols.append(i)
-                vals.append(_fraction_sqrt_ratio(entry2 if inner >= 0 else -entry2))
+                vals.append(math.copysign(math.sqrt(float(entry2)), inner))
         shape = (self.size, self.size)
         return tuple(sparse.csr_array((vals, (rows, cols)), shape=shape)
                      for rows, cols, vals in entries.values())
@@ -275,11 +283,23 @@ class Basis:
                                np.asarray(z2, dtype=complex).ravel(),
                                self.exponents, np.ascontiguousarray(mono))
 
+    def synthesize(self, coeffs):
+        """Values at the quadrature nodes of the coefficient vector ``coeffs``:
+        per radial node, the torus modes R_j(u_r) c_j (summed over slots of
+        one weight) go through one inverse 2-D FFT."""
+        n = self.grid.n_phi
+        modes = np.zeros((self.grid.n_radial, n * n), dtype=complex)
+        np.add.at(modes, (slice(None), self._torus_slot), self.radial * coeffs)
+        return np.fft.ifft2(modes.reshape(-1, n, n), norm="forward").ravel()
+
     def project_values(self, values):
         """L^2-orthogonal projection of a vector of nodewise values onto the
-        basis: the weighted adjoint of ``node_values``, applied without a copy."""
-        w = self.grid.weights_normalized
-        return np.conj(self.node_values.T @ np.conj(w * values))
+        basis: the quadrature sums, as a 2-D FFT per radial node and a
+        weighted radial sum against R_j."""
+        n = self.grid.n_phi
+        modes = np.fft.fft2(np.reshape(values, (-1, n, n)), norm="forward")
+        modes = modes.reshape(-1, n * n)[:, self._torus_slot]
+        return self.grid.u_weights @ (self.radial * modes)
 
     def project_with_mass(self, values):
         """Project nodewise values and record the discarded mass.
@@ -289,7 +309,7 @@ class Basis:
         ``meta["truncation_mass"]``.
         """
         coeffs = self.project_values(values)
-        residual = values - self.node_values @ coeffs
+        residual = values - self.synthesize(coeffs)
         mass = math.sqrt(float(np.dot(self.grid.weights_normalized, np.abs(residual) ** 2)))
         return SpectralScalar(self, coeffs, meta={"truncation_mass": mass})
 
@@ -359,19 +379,6 @@ class Basis:
         return float(np.dot(weights, np.abs(np.asarray(coeffs)) ** 2))
 
 
-def _fraction_sqrt_ratio(frac2):
-    """float sqrt of a non-negative Fraction, sign restored from the pairing.
-
-    The matrix entries <op beta_i, beta_j> are real rationals divided by the
-    geometric mean of two rational norms; their squares are rational. The sign
-    is the sign of the defining inner product, which the caller folds in by
-    passing a signed square (negative squares encode negative entries).
-    """
-    if frac2 >= 0:
-        return math.sqrt(float(frac2))
-    return -math.sqrt(float(-frac2))
-
-
 class SpectralScalar:
     """A scalar field represented by coefficients in a :class:`Basis`."""
 
@@ -383,7 +390,7 @@ class SpectralScalar:
         self.meta = meta or {}
 
     def values(self):
-        return self.basis.node_values @ self.coeffs
+        return self.basis.synthesize(self.coeffs)
 
     def eval(self, z1, z2):
         return self.basis.eval_columns(z1, z2, self.coeffs[:, None])[:, 0]

@@ -16,14 +16,16 @@ parameterized neighbourhood (or was too large to start), 4 stored
 coefficients belong to a different basis build, 5 a contact flow failed
 (field too large to flow, or no step count up to the cap passed the
 step-halving and contact checks), 6 an input file cannot be read, is not
-JSON, lacks a required key or holds a malformed or non-finite (NaN, inf)
-coefficient, or an output file cannot be written. Checks that fail in
-``verify``/``slice`` exit 1. argparse keeps its usual 2 for bad flags.
+JSON, has the wrong ``type`` or ``kind``, lacks a required key or holds a
+malformed or non-finite (NaN, inf) coefficient, or an output file cannot be
+written. Checks that fail in ``verify``/``slice`` exit 1. argparse keeps its
+usual 2 for bad flags, including a non-finite ``--tol`` or ``--eps``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -67,12 +69,12 @@ class RunConfig:
             raise ValueError("--degree must be at least 4")
         if self.s < 1:
             raise ValueError("--s must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("--tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("--max-iter must be at least 1")
-        if self.eps <= 0:
-            raise ValueError("--eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("--eps must be positive and finite")
         if not 2 <= self.steps <= MAX_FLOW_STEPS:
             raise ValueError(f"--steps must be between 2 and {MAX_FLOW_STEPS}")
 
@@ -179,7 +181,7 @@ def cmd_normal_form(args):
     except _io.BasisMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BASIS_MISMATCH
-    except ValueError as exc:
+    except ValueError as exc:  # sup |phi| >= 1, checked by DeformationTensor
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEIGHBOURHOOD
 

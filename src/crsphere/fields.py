@@ -131,16 +131,6 @@ def complex_contact(suite: OperatorSuite, f: SpectralScalar) -> ComplexContactFi
     return ComplexContactField(f, _horizontal_from_parameter(suite, f))
 
 
-def as_complex_contact(suite: OperatorSuite, V: HolField, tol=1e-8) -> ComplexContactField:
-    """Reinterpret a field known to satisfy the complex-contact identity."""
-    candidate = ComplexContactField(V.f, V.h)
-    resid = candidate.definition_residual(suite)
-    scale = max(1.0, V.f.l2_norm() + V.h.l2_norm())
-    if resid > tol * scale:
-        raise ValueError(f"field is not complex contact (residual {resid:.2e})")
-    return candidate
-
-
 def phat_shat(suite: OperatorSuite, V: HolField):
     """Split V into its complex contact projection and the Ŝ complement.
 

@@ -349,19 +349,20 @@ def _cinv(x):
 class QuadratureGrid:
     """Product quadrature in Hopf coordinates, exact through degree 2N+4.
 
-    ``weights`` are the raw Hopf weights (summing to the sphere volume
-    2 pi^2); ``weights_normalized`` integrate against the probability
-    measure used for every L^2 pairing in the package.
+    Node ``(r * n_phi + i1) * n_phi + i2`` sits at ``u[r]`` and angles
+    ``2 pi (i1, i2) / n_phi``. The Gauss-Legendre ``u_weights`` (summing to 1)
+    over ``n_phi^2`` are the ``weights_normalized`` of the probability measure
+    used for every L^2 pairing in the package.
     """
 
     degree: int
     z1: np.ndarray
     z2: np.ndarray
-    weights: np.ndarray
+    u: np.ndarray
+    u_weights: np.ndarray
     weights_normalized: np.ndarray
     n_phi: int
     n_radial: int
-    exactness_degree: int
 
     @staticmethod
     def build(degree: int) -> "QuadratureGrid":
@@ -371,10 +372,9 @@ class QuadratureGrid:
         nodes, wts = np.polynomial.legendre.leggauss(n_radial)
         u = 0.5 * (nodes + 1.0)
         wu = 0.5 * wts
-        phi1 = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        phi2 = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
 
-        uu, p1, p2 = np.meshgrid(u, phi1, phi2, indexing="ij")
+        uu, p1, p2 = np.meshgrid(u, phi, phi, indexing="ij")
         uu, p1, p2 = uu.ravel(), p1.ravel(), p2.ravel()
         r1 = np.sqrt(1.0 - uu)
         r2 = np.sqrt(uu)
@@ -382,10 +382,8 @@ class QuadratureGrid:
         z2 = r2 * np.exp(1j * p2)
 
         w_norm = np.repeat(wu, n_phi * n_phi) / (n_phi * n_phi)
-        w_raw = w_norm * (2.0 * np.pi ** 2)
-        return QuadratureGrid(degree=degree, z1=z1, z2=z2, weights=w_raw,
-                              weights_normalized=w_norm, n_phi=n_phi,
-                              n_radial=n_radial, exactness_degree=2 * degree + 4)
+        return QuadratureGrid(degree=degree, z1=z1, z2=z2, u=u, u_weights=wu,
+                              weights_normalized=w_norm, n_phi=n_phi, n_radial=n_radial)
 
     @property
     def n_nodes(self) -> int:

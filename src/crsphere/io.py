@@ -26,9 +26,10 @@ class BasisMismatchError(RuntimeError):
 
 
 class InputError(Exception):
-    """An input file cannot be decoded, lacks a required key or holds a
-    non-finite coefficient. Deliberately not a ``ValueError``, which the CLI
-    reads as a deformation outside the solver neighbourhood."""
+    """An input file cannot be decoded, has the wrong ``type`` or ``kind``,
+    lacks a required key or holds a non-finite coefficient. Deliberately not
+    a ``ValueError``, which the CLI reads as a deformation outside the solver
+    neighbourhood."""
 
 
 def canonical_dumps(obj) -> str:
@@ -173,7 +174,7 @@ def deformation_to_json(phi, config=None, provenance=None):
 def deformation_from_json(basis: Basis, obj):
     from .flow import DeformationTensor
     if _require(obj, "type")[0] != "deformation_tensor":
-        raise ValueError("not a deformation tensor file")
+        raise InputError("not a deformation tensor file")
     return DeformationTensor(scalar_from_json(basis, _require(obj, "coefficient")[0]))
 
 
@@ -189,7 +190,7 @@ def contact_field_to_json(X):
 def contact_field_from_json(suite, obj):
     from .fields import contact_from_generating
     if _require(obj, "kind")[0] != "contact":
-        raise ValueError("not a contact field file")
+        raise InputError("not a contact field file")
     basis_id, degree, pairs = _require(obj, "basis_id", "degree", "g")
     g = scalar_from_json(suite.basis, {"basis_id": basis_id, "degree": degree,
                                        "coeffs": pairs})

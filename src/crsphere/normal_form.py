@@ -414,7 +414,8 @@ def pullback_of_zero(suite: OperatorSuite, rng, target=2e-3, order=DEFAULT_ORDER
     g = g_raw.real_part() * (target / complex_contact_norm(g_raw, order))
     x0 = contact_from_generating(suite, g)
     F = flow(x0, steps=steps)
-    phi = pullback_deformation(F, DeformationTensor(basis.zero()))
+    # φ = 0, so φ∘F is 0 and needs no evaluation at F's images
+    phi = pullback_deformation(F, DeformationTensor(basis.zero()), composition_values=0.0)
     return PullbackInstance(phi, x0)
 
 

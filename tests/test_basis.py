@@ -58,11 +58,32 @@ def test_dimension_formula():
     assert cached_basis(8).size == 285
 
 
+def dense_node_values(basis):
+    """Every basis function at every quadrature node, from the monomial form:
+    the dense oracle for the radial-table-times-FFT transforms."""
+    return basis.eval_columns(basis.grid.z1, basis.grid.z2, np.eye(basis.size))
+
+
 def test_orthonormality_via_quadrature(basis6):
-    vals = basis6.node_values
+    vals = dense_node_values(basis6)
     w = basis6.grid.weights_normalized
     gram = (vals.conj().T * w) @ vals
     assert np.max(np.abs(gram - np.eye(basis6.size))) < 1e-12
+
+
+def test_fft_transforms_match_dense_oracle():
+    rng = np.random.default_rng(12)
+    for N in (6, 8):
+        basis = cached_basis(N)
+        dense = dense_node_values(basis)
+        c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        expect = dense @ c
+        got = basis.scalar(c).values()
+        assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect)), N
+        v = rng.standard_normal(basis.grid.n_nodes) + 1j * rng.standard_normal(basis.grid.n_nodes)
+        expect = dense.conj().T @ (basis.grid.weights_normalized * v)
+        got = basis.project_values(v)
+        assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect)), N
 
 
 def test_torus_bigrading(basis6):
@@ -188,9 +209,7 @@ def test_project_with_mass_measures_discarded_part(basis6):
     assert np.max(np.abs(out.coeffs - f.coeffs)) < 1e-12
     expect = c / np.sqrt(basis6.degree + 2)
     assert abs(out.meta["truncation_mass"] - expect) < 1e-12
-    # in the span only roundoff is left, seen through a square root of a
-    # difference of squares: about 2e-7 here
-    assert basis6.project_with_mass(f.values()).meta["truncation_mass"] < 1e-6
+    assert basis6.project_with_mass(f.values()).meta["truncation_mass"] < 1e-12
 
 
 def test_project_with_mass_in_span_is_roundoff(basis6):

@@ -103,6 +103,20 @@ def test_exit_code_oversized_input(tmp_path):
                    "--out", tmp_path / "r.json") == 3
 
 
+def test_exit_code_sup_phi_at_load(tmp_path):
+    # a stored tensor with sup |phi| >= 1 is outside the neighbourhood, not
+    # a malformed file
+    phi = tmp_path / "phi.json"
+    run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "1", "--out", phi)
+    obj = json.loads(phi.read_text())
+    obj["coefficient"]["coeffs"] = [[1e4 * re, 1e4 * im] for re, im in obj["coefficient"]["coeffs"]]
+    phi.write_text(json.dumps(obj))
+    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", phi,
+                             "--out", tmp_path / "r.json")
+    assert_one_line_error(out, 3)
+    assert "sup |phi|" in out.stderr
+
+
 def test_exit_code_flow_failure(tmp_path):
     # a generator far above the flow norm cap fails in flow(); the CLI maps
     # FlowError to its own code with a one-line message
@@ -132,6 +146,29 @@ def test_exit_code_malformed_json(tmp_path):
                              "--out", tmp_path / "r.json")
     assert_one_line_error(out, EXIT_INPUT)
     assert "not valid JSON" in out.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_exit_code_wrong_file_type(tmp_path):
+    junk = tmp_path / "junk.json"
+    junk.write_text('{"type": "junk"}')
+    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", junk,
+                             "--out", tmp_path / "r.json")
+    assert_one_line_error(out, EXIT_INPUT)
+    assert "not a deformation tensor file" in out.stderr
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["gen", "--kind", "random", "--eps", "inf"], "--eps"),
+    (["normal-form", "--in", "absent.json", "--tol", "nan"], "--tol"),
+], ids=["gen-eps-inf", "normal-form-tol-nan"])
+def test_config_validation_rejects_non_finite(tmp_path, command, flag):
+    out = run_cli_subprocess(*command, "--degree", "4", "--out", tmp_path / "r.json")
+    assert out.returncode == 2
+    errors = [line for line in out.stderr.splitlines() if "error:" in line]
+    assert errors == [f"crsphere: error: {flag} must be positive and finite"]
+    assert "Traceback" not in out.stderr
     assert not (tmp_path / "r.json").exists()
 
 

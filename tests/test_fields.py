@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from crsphere.fields import (VField, as_complex_contact, complex_contact,
-                             complex_contact_norm, contact_from_generating,
-                             decompose, phat_shat, pi_im, pi_re)
+from crsphere.fields import (VField, complex_contact, complex_contact_norm,
+                             contact_from_generating, decompose, phat_shat, pi_im, pi_re)
 from crsphere.operators import HolField
 
 
@@ -28,21 +27,6 @@ def test_contact_defining_equation(suite6):
         g = f.real_part()
         X = contact_from_generating(suite6, g)
         assert X.contact_residual(suite6) < 1e-10
-
-
-def test_as_complex_contact_roundtrip(suite6):
-    rng = np.random.default_rng(42)
-    f = suite6.basis.random_scalar(rng)
-    Zc = complex_contact(suite6, f)
-    back = as_complex_contact(suite6, Zc.as_hol_field())
-    assert (back.parameter - f).l2_norm() < 1e-10
-
-
-def test_as_complex_contact_rejects_generic_fields(suite6):
-    rng = np.random.default_rng(43)
-    V = HolField(suite6.basis.random_scalar(rng), suite6.basis.random_scalar(rng))
-    with pytest.raises(ValueError):
-        as_complex_contact(suite6, V)
 
 
 def test_phat_shat_split(suite6):

@@ -56,8 +56,13 @@ def test_deformation_roundtrip(tmp_path, basis6):
 
 
 def test_deformation_rejects_wrong_type(basis6):
-    with pytest.raises(ValueError):
+    with pytest.raises(io.InputError, match="not a deformation tensor file"):
         io.deformation_from_json(basis6, {"type": "junk"})
+
+
+def test_contact_field_rejects_wrong_kind(suite6):
+    with pytest.raises(io.InputError, match="not a contact field file"):
+        io.contact_field_from_json(suite6, {"kind": "junk"})
 
 
 def test_read_json_rejects_malformed_as_input_error(tmp_path):

@@ -42,6 +42,22 @@ def test_pullback_of_zero_recovery(suite8):
     assert x_err / inst.x0.generating.l2_norm() < 1e-9
 
 
+def test_pullback_of_zero_evaluates_no_polynomial(suite6, monkeypatch):
+    # φ = 0, so φ∘F is skipped; the flow evaluates its field through
+    # _core.eval_poly directly, not through Basis.eval_columns
+    calls = []
+    eval_columns = type(suite6.basis).eval_columns
+
+    def counted(self, *args):
+        calls.append(args)
+        return eval_columns(self, *args)
+
+    monkeypatch.setattr(type(suite6.basis), "eval_columns", counted)
+    inst = nf.pullback_of_zero(suite6, np.random.default_rng(82), target=2e-3)
+    assert calls == []
+    assert inst.phi.fs_norm(6) > 0
+
+
 def test_solver_certificates(suite8):
     rng = np.random.default_rng(82)
     phi = nf.random_deformation(suite8.basis, rng, 2e-3)
