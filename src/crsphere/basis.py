@@ -1,39 +1,36 @@
-"""Truncated spectral basis of restricted polynomials on the 3-sphere.
+"""Truncated spectral basis of restricted polynomials on the 3-sphere, in
+closed form.
 
-The working space at truncation degree ``N`` is the span of the restricted
-monomials ``z^a zbar^b`` with ``|a| + |b| <= N``. Restriction to the sphere
-introduces exact linear dependencies (through ``|z1|^2 + |z2|^2 = 1``), so the
-basis is produced by Gram-Schmidt against the exact moment Gram matrix.
+The span of the restricted monomials ``z^a zbar^b``, ``|a| + |b| <= N``, has
+one orthonormal basis function per slot ``(d, k1, k2)``,
+``|k1| + |k2| <= d <= N``, ``d - k1 - k2`` even: the spherical harmonic of
+torus weight ``(k1, k2)`` and bidegree ``(p, q) = ((d+k1+k2)/2, (d-k1-k2)/2)``.
+With ``u = |z2|^2`` (uniform on [0, 1] under the normalized round measure),
+``a = |k1|``, ``b = |k2|`` and ``n = (d - a - b)/2`` it is
 
-Two structural facts keep everything exact:
+    R_j(u) e^{i k1 phi1} e^{i k2 phi2},   R_j(u) = c (1-u)^{a/2} u^{b/2} P_n^{(a,b)}(2u-1)
 
-* Monomials of different torus weight ``(k1, k2) = (a1 - b1, a2 - b2)`` are
-  L^2-orthogonal, so the Gram matrix is block diagonal by weight and the
-  orthonormalization runs independently per block.
-* Within a weight block, processing monomials in degree-graded order yields
-  exactly one new basis function per total degree; each comes out as the
-  restriction of a bihomogeneous harmonic polynomial, so every basis function
-  carries sharp metadata (weight, degree, bidegree).
+with ``P_n^{(a,b)}`` a Jacobi polynomial (Szego, *Orthogonal Polynomials*,
+Sec. 4.5). As an ambient polynomial it lives on the monomials
+``z1^{k1+} zbar1^{k1-} z2^{k2+ + i} zbar2^{k2- + i}``, ``i = 0..n``. The top
+coefficient is ``1/sqrt(nu)``, ``nu`` the squared norm of the monic Jacobi
+polynomial in ``u``, ``(n+a)! (n+b)! / ((2n+a+b+1) (n+a+b)! n! C(2n+a+b, n)^2)``;
+the others follow from ``c_{i-1} = -c_i i (b+i) / ((n-i+1)(n+a+b+i))``. This
+is what Gram-Schmidt on the degree-graded monomials gives, sign included; the
+tests keep that exact rational Gram-Schmidt as the oracle.
 
-All Gram-Schmidt arithmetic is done with ``fractions.Fraction`` (the moments
-are factorial ratios), so dependent monomials are recognized by *exact* zero
-residuals and the float coefficients are correct to one rounding each. The
-relative pivot threshold of 1e-12 required by the calling contract is kept as
-a guard; with exact residuals it can only fire on true zeros.
-
-The frame derivatives Z, Zbar act 1-sparsely on this basis (they shift the
-weight by (-1,-1) / (+1,+1) at fixed degree, and each (weight, degree) slot is
-one-dimensional); their sparse matrices are assembled from exact rational
-pairings and the 1-sparsity is asserted, not assumed. Both keep k1 - k2 and the
-degree, so they act within the (degree, k1 - k2) chains of the basis. T acts
+Z and Zbar are Folland's ladder (Folland, "The tangential Cauchy-Riemann
+complex on spheres", Trans. AMS 171, 1972): Zbar sends slot ``(k1, k2, d)``
+to ``(k1+1, k2+1, d)`` with entry ``sqrt(q (p+1))``, negated for ``k1 >= 0``,
+and annihilates ``q = 0``; Z is minus its transpose. Both keep ``k1 - k2``
+and the degree, so they act within the (degree, k1 - k2) chains. T acts
 diagonally with eigenvalue ``i * kappa * (k1 + k2)``.
 
-A basis function separates as ``R_j(u) e^{i k1 phi1} e^{i k2 phi2}`` with
-``u = |z2|^2``, and the grid is Gauss in ``u`` times an equispaced torus, so
-only the real table ``radial = R_j(u_r)`` (the basis at the radial nodes
-with ``phi1 = phi2 = 0``) is stored. Synthesis at the nodes and projection
-are a 2-D FFT per radial node plus a sum against it (the transform pattern
-of Driscoll & Healy, 1994): the same quadrature sums as a dense
+The grid is Gauss in ``u`` times an equispaced torus, so only the real table
+``radial = R_j(u_r)`` (the basis at the radial nodes with
+``phi1 = phi2 = 0``) is stored. Synthesis at the nodes and projection are a
+2-D FFT per radial node plus a sum against it (the transform pattern of
+Driscoll & Healy, 1994): the same quadrature sums as a dense
 nodes-by-basis matrix, so aliasing is unchanged.
 """
 
@@ -41,15 +38,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
 from . import _core
-from .geometry import QuadratureGrid, ReferenceGeometry, monomial_moment
-
-PIVOT_RELATIVE_THRESHOLD = Fraction(1, 10 ** 12)
+from .geometry import QuadratureGrid, ReferenceGeometry
 
 
 def monomial_exponents(degree):
@@ -66,51 +60,6 @@ def monomial_exponents(degree):
     return np.array(exps, dtype=np.int64)
 
 
-def _pair_exact(terms_a, terms_b):
-    """Exact L^2 pairing <P, Q> of two rational monomial combinations.
-
-    Each argument is a list of ((a1,a2,b1,b2), Fraction) pairs with real
-    rational coefficients. The moment <m, m'> is real, so the result is a
-    Fraction.
-    """
-    acc = Fraction(0)
-    for ea, ca in terms_a:
-        for eb, cb in terms_b:
-            if ca == 0 or cb == 0:
-                continue
-            # <z^a zbar^b, z^a' zbar^b'> = moment(a + b', b + a')
-            m = monomial_moment(ea[0] + eb[2], ea[1] + eb[3], eb[0] + ea[2], eb[1] + ea[3])
-            if m:
-                acc += ca * cb * m
-    return acc
-
-
-def _zbar_terms(terms):
-    """Apply Zbar = z2 d/dzbar1 - z1 d/dzbar2 to a rational monomial combination."""
-    out = {}
-    for (a1, a2, b1, b2), c in terms:
-        if b1:
-            k = (a1, a2 + 1, b1 - 1, b2)
-            out[k] = out.get(k, Fraction(0)) + c * b1
-        if b2:
-            k = (a1 + 1, a2, b1, b2 - 1)
-            out[k] = out.get(k, Fraction(0)) - c * b2
-    return [(k, v) for k, v in sorted(out.items()) if v != 0]
-
-
-def _z_terms(terms):
-    """Apply Z = zbar2 d/dz1 - zbar1 d/dz2 to a rational monomial combination."""
-    out = {}
-    for (a1, a2, b1, b2), c in terms:
-        if a1:
-            k = (a1 - 1, a2, b1, b2 + 1)
-            out[k] = out.get(k, Fraction(0)) + c * a1
-        if a2:
-            k = (a1, a2 - 1, b1 + 1, b2)
-            out[k] = out.get(k, Fraction(0)) - c * a2
-    return [(k, v) for k, v in sorted(out.items()) if v != 0]
-
-
 class Basis:
     """Orthonormal spectral basis at a fixed truncation degree.
 
@@ -119,23 +68,20 @@ class Basis:
     degree. Orthonormality holds in the normalized round L^2 inner product.
     """
 
-    def __init__(self, degree, geometry, grid, exponents, coeffs, meta, rational_blocks):
+    def __init__(self, degree, geometry, grid, exponents, coeffs, k1, k2, degrees):
         self.degree = degree
         self.geometry = geometry
         self.grid = grid
         self.exponents = exponents
         self.coeffs = coeffs  # (n_monomials, size) real float64
-        self.k1 = meta["k1"]
-        self.k2 = meta["k2"]
-        self.degrees = meta["deg"]
-        self.bidegree_p = meta["p"]
-        self.bidegree_q = meta["q"]
-        self._rational = rational_blocks  # index -> list of (exp, Fraction), unnormalized
-        self._norms2 = meta["norm2"]      # index -> Fraction, squared norm of rational rep
+        self.k1 = k1
+        self.k2 = k2
+        self.degrees = degrees
+        self.bidegree_p = (degrees + k1 + k2) // 2
+        self.bidegree_q = (degrees - k1 - k2) // 2
 
         self.size = coeffs.shape[1]
-        self._slot = {(int(a), int(b), int(d)): i
-                      for i, (a, b, d) in enumerate(zip(self.k1, self.k2, self.degrees))}
+        self._slot = {s: i for i, s in enumerate(zip(k1.tolist(), k2.tolist(), degrees.tolist()))}
 
         # Z and Zbar shift (k1, k2) along the diagonal at fixed degree, so the
         # (degree, k1 - k2) chains are invariant; each lists its slots by k1 + k2.
@@ -151,12 +97,18 @@ class Basis:
         kappa = float(geometry.kappa)
         self.t_eigs = 1j * kappa * (self.k1 + self.k2).astype(np.float64)
 
-        self.radial = self.eval_columns(np.sqrt(1.0 - grid.u), np.sqrt(grid.u),
-                                        np.eye(self.size)).real
+        self.radial = _core.eval_poly(np.sqrt(1.0 - grid.u), np.sqrt(grid.u),
+                                      exponents, coeffs).real
         self._torus_slot = (self.k1 % grid.n_phi) * grid.n_phi + self.k2 % grid.n_phi
 
-        self.frame_z_matrix, self.frame_zbar_matrix = self._assemble_frame_matrices()
-        z, zb = self.frame_z_matrix, self.frame_zbar_matrix
+        # Folland's ladder, see the module docstring
+        src = np.flatnonzero(self.bidegree_q > 0)
+        dst = [self._slot[(a + 1, b + 1, d)] for a, b, d in
+               zip(self.k1[src].tolist(), self.k2[src].tolist(), self.degrees[src].tolist())]
+        entry = np.sqrt(self.bidegree_q[src] * (self.bidegree_p[src] + 1.0))
+        self.frame_zbar_matrix = zb = sparse.csr_array(
+            (np.where(self.k1[src] < 0, entry, -entry), (dst, src)), shape=(self.size,) * 2)
+        self.frame_z_matrix = z = (-zb.T).tocsr()
         self._word_step = (z.multiply(z) + zb.multiply(zb)).T.tocsr()
         self._fs_levels = [np.ones(self.size)]  # w_0, w_1, ... of fs_norm2
         self.basis_id = self._content_hash()
@@ -168,100 +120,31 @@ class Basis:
         geometry = ReferenceGeometry.derive()
         grid = QuadratureGrid.build(degree)
         exponents = monomial_exponents(degree)
-        exp_index = {tuple(e): i for i, e in enumerate(exponents)}
-
-        blocks = {}
-        for i, (a1, a2, b1, b2) in enumerate(exponents):
-            blocks.setdefault((int(a1 - b1), int(a2 - b2)), []).append(i)
-
-        accepted = []  # (k1, k2, deg, terms, norm2)
-        for key in sorted(blocks):
-            rows = blocks[key]
-            rows.sort(key=lambda i: (int(exponents[i].sum()), tuple(exponents[i])))
-            ortho = []  # list of (terms, norm2) accepted in this block
-            for i in rows:
-                exp = tuple(int(v) for v in exponents[i])
-                cand = {exp: Fraction(1)}
-                cand_list = [(exp, Fraction(1))]
-                own_norm2 = _pair_exact(cand_list, cand_list)
-                # subtract projections onto the accepted block members
-                for terms, norm2 in ortho:
-                    inner = _pair_exact(cand_list, terms)
-                    if inner:
-                        coef = inner / norm2
-                        for e, c in terms:
-                            cand[e] = cand.get(e, Fraction(0)) - coef * c
-                        cand_list = [(e, c) for e, c in sorted(cand.items()) if c != 0]
-                residual2 = _pair_exact(cand_list, cand_list)
-                if residual2 <= PIVOT_RELATIVE_THRESHOLD ** 2 * own_norm2:
-                    # exact arithmetic: dependent candidates give exactly zero
-                    if residual2 != 0:
-                        raise AssertionError("near-zero but nonzero exact pivot")
-                    continue
-                ortho.append((cand_list, residual2))
-                accepted.append((key[0], key[1], sum(exp), cand_list, residual2))
+        exp_index = {e: i for i, e in enumerate(map(tuple, exponents.tolist()))}
 
         # canonical basis order: degree, then weight sum, then k1
-        accepted.sort(key=lambda t: (t[2], t[0] + t[1], t[0], t[1]))
+        slots = sorted(((d, k1, k2) for d in range(degree + 1)
+                        for k1 in range(-d, d + 1)
+                        for k2 in range(abs(k1) - d, d - abs(k1) + 1)
+                        if (d - k1 - k2) % 2 == 0),
+                       key=lambda s: (s[0], s[1] + s[2], s[1], s[2]))
 
-        size = len(accepted)
-        coeffs = np.zeros((len(exponents), size))
-        meta = {
-            "k1": np.array([t[0] for t in accepted]),
-            "k2": np.array([t[1] for t in accepted]),
-            "deg": np.array([t[2] for t in accepted]),
-            "norm2": [t[4] for t in accepted],
-        }
-        meta["p"] = (meta["deg"] + meta["k1"] + meta["k2"]) // 2
-        meta["q"] = (meta["deg"] - meta["k1"] - meta["k2"]) // 2
-        rational_blocks = []
-        for j, (_, _, _, terms, norm2) in enumerate(accepted):
-            scale = 1.0 / math.sqrt(norm2)
-            for e, c in terms:
-                coeffs[exp_index[e], j] = float(c) * scale
-            rational_blocks.append(terms)
+        coeffs = np.zeros((len(exponents), len(slots)))
+        f = math.factorial
+        for j, (d, k1, k2) in enumerate(slots):
+            a, b = abs(k1), abs(k2)
+            n = (d - a - b) // 2
+            nu = (f(n + a) * f(n + b)) / ((2 * n + a + b + 1) * f(n + a + b) * f(n)
+                                         * math.comb(2 * n + a + b, n) ** 2)
+            c = 1.0 / math.sqrt(nu)
+            for i in range(n, -1, -1):
+                row = exp_index[(max(k1, 0), max(k2, 0) + i, max(-k1, 0), max(-k2, 0) + i)]
+                coeffs[row, j] = c
+                if i:
+                    c = -c * i * (b + i) / ((n - i + 1) * (n + a + b + i))
 
-        basis = Basis(degree, geometry, grid, exponents, coeffs, meta, rational_blocks)
-        expected = (degree + 1) * (degree + 2) * (2 * degree + 3) // 6
-        if size != expected:
-            raise AssertionError(f"basis rank {size} != expected {expected}")
-        return basis
-
-    def _assemble_frame_matrices(self):
-        """Exact sparse matrices of Z and Zbar on the basis (real entries).
-
-        Zbar sends the (k1, k2, d) slot to (k1+1, k2+1, d) and Z to
-        (k1-1, k2-1, d); the full image must land in that single slot, which
-        is asserted through the exact norm identity below.
-        """
-        entries = {_z_terms: ([], [], []), _zbar_terms: ([], [], [])}
-        for i in range(self.size):
-            terms = self._rational[i]
-            n2_i = self._norms2[i]
-            for op, shift in ((_z_terms, -1), (_zbar_terms, +1)):
-                img = op(terms)
-                img_norm2 = _pair_exact(img, img)
-                j = self._slot.get((int(self.k1[i]) + shift, int(self.k2[i]) + shift,
-                                    int(self.degrees[i])))
-                if j is None:
-                    if img_norm2 != 0:
-                        raise AssertionError("frame derivative left the basis span")
-                    continue
-                inner = _pair_exact(img, self._rational[j])
-                n2_j = self._norms2[j]
-                # the image must be entirely in slot j: |<img, b_j>|^2 = |img|^2 |b_j|^2
-                if img_norm2 * n2_j != inner * inner:
-                    raise AssertionError("frame derivative image is not 1-sparse")
-                # normalized entry <op beta_i, beta_j>: its square is rational,
-                # its sign that of the exact pairing
-                entry2 = inner * inner / (n2_i * n2_j)
-                rows, cols, vals = entries[op]
-                rows.append(j)
-                cols.append(i)
-                vals.append(math.copysign(math.sqrt(float(entry2)), inner))
-        shape = (self.size, self.size)
-        return tuple(sparse.csr_array((vals, (rows, cols)), shape=shape)
-                     for rows, cols, vals in entries.values())
+        d, k1, k2 = np.array(slots, dtype=np.int64).T
+        return Basis(degree, geometry, grid, exponents, coeffs, k1, k2, d)
 
     def _content_hash(self):
         h = hashlib.sha256()

@@ -12,14 +12,15 @@ Every output embeds the run configuration and the sha256 of any input file,
 and reruns with identical flags are byte-identical.
 
 Exit codes: 0 success, 2 iteration did not converge, 3 deformation left the
-parameterized neighbourhood (or was too large to start), 4 stored
-coefficients belong to a different basis build, 5 a contact flow failed
-(field too large to flow, or no step count up to the cap passed the
+parameterized neighbourhood (or was too large to start, also in ``gen``), 4
+stored coefficients belong to a different basis build, 5 a contact flow
+failed (field too large to flow, or no step count up to the cap passed the
 step-halving and contact checks), 6 an input file cannot be read, is not
 JSON, has the wrong ``type`` or ``kind``, lacks a required key or holds a
-malformed or non-finite (NaN, inf) coefficient, or an output file cannot be
-written. Checks that fail in ``verify``/``slice`` exit 1. argparse keeps its
-usual 2 for bad flags, including a non-finite ``--tol`` or ``--eps``.
+malformed or non-finite (NaN, inf, overflowing) coefficient, or an output
+file cannot be written. Checks that fail in ``verify``/``slice`` exit 1.
+argparse keeps its usual 2 for bad flags, including a non-finite ``--tol``,
+``--eps`` or ``auto:<size>`` and a size that is not positive.
 """
 
 from __future__ import annotations
@@ -134,32 +135,33 @@ def _csv_sibling(json_path, tag):
 # gen
 
 
-def cmd_gen(args):
-    config = _config(args)
+def cmd_gen(args, config):
     suite = _suite(config)
     rng = np.random.default_rng(config.seed)
     provenance = {"kind": args.kind, "seed": config.seed}
 
-    if args.kind == "random":
-        target = config.eps / 2
-        phi = nf.random_deformation(suite.basis, rng, target, order=config.s)
-        provenance.update(target=target, max_degree=suite.basis.degree - 2)
-    elif args.kind == "pullback-of-zero":
-        target = config.eps / 5
-        inst = nf.pullback_of_zero(suite, rng, target=target, order=config.s,
-                                   steps=config.steps)
-        phi = inst.phi
-        provenance.update(target=target,
-                          x0_generating=_io.scalar_to_json(inst.x0.generating))
-    elif args.kind == "prefab-normal-form":
-        target = config.eps / 2
-        inst = nf.prefab_normal_form(suite, rng, target=target, order=config.s)
-        phi = inst.phi
-        provenance.update(target=target,
-                          y0=_io.scalar_to_json(inst.y0),
-                          psi0=_io.scalar_to_json(inst.psi0))
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown kind {args.kind}")
+    try:
+        if args.kind == "random":
+            target = config.eps / 2
+            phi = nf.random_deformation(suite.basis, rng, target, order=config.s)
+            provenance.update(target=target, max_degree=suite.basis.degree - 2)
+        elif args.kind == "pullback-of-zero":
+            target = config.eps / 5
+            inst = nf.pullback_of_zero(suite, rng, target=target, order=config.s,
+                                       steps=config.steps)
+            phi = inst.phi
+            provenance.update(target=target,
+                              x0_generating=_io.scalar_to_json(inst.x0.generating))
+        else:  # prefab-normal-form; argparse choices guard the kind
+            target = config.eps / 2
+            inst = nf.prefab_normal_form(suite, rng, target=target, order=config.s)
+            phi = inst.phi
+            provenance.update(target=target,
+                              y0=_io.scalar_to_json(inst.y0),
+                              psi0=_io.scalar_to_json(inst.psi0))
+    except (NeighbourhoodError, ValueError) as exc:  # sup |phi| >= 1 at this --eps
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEIGHBOURHOOD
 
     obj = _io.deformation_to_json(phi, config=config.echo(), provenance=provenance)
     _io.write_json(args.out, obj)
@@ -172,8 +174,7 @@ def cmd_gen(args):
 # normal-form
 
 
-def cmd_normal_form(args):
-    config = _config(args)
+def cmd_normal_form(args, config):
     suite = _suite(config)
     input_sha = _io.file_sha256(args.infile)
     try:
@@ -316,8 +317,7 @@ def identity_battery(suite: OperatorSuite, rng):
     return rows
 
 
-def cmd_verify(args):
-    config = _config(args)
+def cmd_verify(args, config):
     suite = _suite(config)
     rng = np.random.default_rng(config.seed)
     rows = identity_battery(suite, rng)
@@ -339,8 +339,7 @@ def cmd_verify(args):
 # scan
 
 
-def cmd_scan(args):
-    config = _config(args)
+def cmd_scan(args, config):
     suite = _suite(config)
     seeds = range(config.seed, config.seed + SCAN_SEEDS)
     rows = nf.apriori_harness(suite, seeds, s_values=(1, 2, 3),
@@ -358,21 +357,33 @@ def cmd_scan(args):
 # slice
 
 
-def _load_generator(suite, spec_str, config):
-    """A stored contact field (JSON path) or 'auto[:size]' for a drawn one."""
-    if spec_str.startswith("auto"):
-        _, _, size_text = spec_str.partition(":")
-        size = float(size_text) if size_text else 2e-4
-        rng = np.random.default_rng([config.seed, 1])
-        cols = nf.harmonic_free_basis(suite)
-        g_raw = suite.basis.scalar(cols @ rng.standard_normal(cols.shape[1]))
-        g = g_raw.real_part() * (size / complex_contact_norm(g_raw, config.s))
-        return contact_from_generating(suite, g)
-    return _io.contact_field_from_json(suite, _io.read_json(spec_str))
+def _generator_spec(text):
+    """``--generator``: a contact-field JSON path as is, or the float size of ``auto[:size]``."""
+    head, colon, size_text = text.partition(":")
+    if head != "auto":
+        return text
+    try:
+        size = float(size_text) if colon else 2e-4
+    except ValueError:
+        size = math.nan
+    if not (math.isfinite(size) and size > 0):
+        raise argparse.ArgumentTypeError(
+            f"auto size must be positive and finite, got {size_text!r}")
+    return size
 
 
-def cmd_slice(args):
-    config = _config(args)
+def _load_generator(suite, spec, config):
+    """A stored contact field (JSON path) or a drawn one of norm ``spec``."""
+    if isinstance(spec, str):
+        return _io.contact_field_from_json(suite, _io.read_json(spec))
+    rng = np.random.default_rng([config.seed, 1])
+    cols = nf.harmonic_free_basis(suite)
+    g_raw = suite.basis.scalar(cols @ rng.standard_normal(cols.shape[1]))
+    g = g_raw.real_part() * (spec / complex_contact_norm(g_raw, config.s))
+    return contact_from_generating(suite, g)
+
+
+def cmd_slice(args, config):
     suite = _suite(config)
     input_sha = _io.file_sha256(args.infile)
     try:
@@ -446,8 +457,8 @@ def build_parser():
     p_slice = sub.add_parser("slice", help="compare (Y, psi) for phi and G*phi")
     _add_config_flags(p_slice)
     p_slice.add_argument("--in", dest="infile", required=True, help="deformation JSON")
-    p_slice.add_argument("--generator", required=True,
-                         help="contact-field JSON path, or auto[:size]")
+    p_slice.add_argument("--generator", required=True, type=_generator_spec,
+                         help="contact-field JSON path, or auto[:size] (default 2e-4)")
     p_slice.add_argument("--out", help="optional CSV path")
     p_slice.set_defaults(func=cmd_slice)
     return parser
@@ -457,15 +468,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args, config)
     except FlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLOW
     except (OSError, _io.InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 if __name__ == "__main__":

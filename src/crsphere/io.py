@@ -119,13 +119,15 @@ def _pairs(coeffs):
 def _unpairs(pairs):
     try:
         arr = np.asarray(pairs, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InputError("coefficient list holds a value beyond the float range") from None
     except (TypeError, ValueError):  # ragged or non-numeric entries
         arr = np.empty(0)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError("coefficient list must be [[re, im], ...]")
     if not np.isfinite(arr).all():
         raise InputError("coefficient list holds a NaN or infinite value")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr.view(complex)[:, 0]  # bit for bit, signed zeros included
 
 
 def _require(obj, *keys):

@@ -312,16 +312,17 @@ def v_gauge_parameter(suite: OperatorSuite, raw: SpectralScalar,
     """Project a parameter into V ∩ ker K by alternating the two projections."""
     y = raw
     scale = max(1.0, raw.l2_norm())
+    harm = suite.k_harm(complex_contact(suite, y).as_hol_field()).f
     for _ in range(rounds):
-        y = y - suite.k_harm(complex_contact(suite, y).as_hol_field()).f
+        y = y - harm
         u = suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part())
         y = y + 1j * u
-        harm_cert = suite.k_harm(complex_contact(suite, y).as_hol_field()).f.l2_norm()
+        harm = suite.k_harm(complex_contact(suite, y).as_hol_field()).f  # next round's too
         v_cert = suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part()).l2_norm()
-        if harm_cert < tol * scale and v_cert < tol * scale:
+        if harm.l2_norm() < tol * scale and v_cert < tol * scale:
             return y
     raise ArithmeticError(
-        f"gauge projection stalled (harmonic {harm_cert:.2e}, V {v_cert:.2e})")
+        f"gauge projection stalled (harmonic {harm.l2_norm():.2e}, V {v_cert:.2e})")
 
 
 @dataclass

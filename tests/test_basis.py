@@ -3,15 +3,24 @@
 The frame-derivative oracle never touches the spectral machinery: basis
 functions are polynomials in (z, zbar), so Z f, Zbar f and T f can be
 checked against Wirtinger derivatives assembled from central differences
-in the four real coordinates of C^2.
+in the four real coordinates of C^2. The closed-form basis and ladder are
+checked against exact-Fraction Gram-Schmidt on the degree-graded monomials
+and exact rational pairings of the frame derivatives.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import cached_basis
 from crsphere import build_basis, frame_derivative, fs_norm, multiply
+from crsphere.basis import monomial_exponents
+from crsphere.geometry import monomial_moment
+
+PIVOT_RELATIVE_THRESHOLD = Fraction(1, 10 ** 12)
 
 FD_STEP = 1e-6
 
@@ -48,6 +57,157 @@ def frame_derivative_fd(basis, f, word, z1, z2):
     if word == "T":
         return 2j * (z1 * d1 + z2 * d2 - zb1 * db1 - zb2 * db2)
     raise ValueError(word)
+
+
+def _pair_exact(terms_a, terms_b):
+    """Exact L^2 pairing <P, Q> of two rational monomial combinations.
+
+    Each argument is a list of ((a1,a2,b1,b2), Fraction) pairs with real
+    rational coefficients. The moment <m, m'> is real, so the result is a
+    Fraction.
+    """
+    acc = Fraction(0)
+    for ea, ca in terms_a:
+        for eb, cb in terms_b:
+            if ca == 0 or cb == 0:
+                continue
+            # <z^a zbar^b, z^a' zbar^b'> = moment(a + b', b + a')
+            m = monomial_moment(ea[0] + eb[2], ea[1] + eb[3], eb[0] + ea[2], eb[1] + ea[3])
+            if m:
+                acc += ca * cb * m
+    return acc
+
+
+def _zbar_terms(terms):
+    """Apply Zbar = z2 d/dzbar1 - z1 d/dzbar2 to a rational monomial combination."""
+    out = {}
+    for (a1, a2, b1, b2), c in terms:
+        if b1:
+            k = (a1, a2 + 1, b1 - 1, b2)
+            out[k] = out.get(k, Fraction(0)) + c * b1
+        if b2:
+            k = (a1 + 1, a2, b1, b2 - 1)
+            out[k] = out.get(k, Fraction(0)) - c * b2
+    return [(k, v) for k, v in sorted(out.items()) if v != 0]
+
+
+def _z_terms(terms):
+    """Apply Z = zbar2 d/dz1 - zbar1 d/dz2 to a rational monomial combination."""
+    out = {}
+    for (a1, a2, b1, b2), c in terms:
+        if a1:
+            k = (a1 - 1, a2, b1, b2 + 1)
+            out[k] = out.get(k, Fraction(0)) + c * a1
+        if a2:
+            k = (a1, a2 - 1, b1 + 1, b2)
+            out[k] = out.get(k, Fraction(0)) - c * a2
+    return [(k, v) for k, v in sorted(out.items()) if v != 0]
+
+
+def exact_gram_schmidt(degree):
+    """The basis by exact-Fraction Gram-Schmidt, and Z, Zbar by exact pairings.
+
+    Monomials are orthonormalized per torus weight block in degree-graded
+    order; dependent ones (through |z1|^2 + |z2|^2 = 1) give exactly zero
+    residuals. Returns the slot arrays k1, k2, deg, p, q, the float
+    coefficient matrix over ``monomial_exponents(degree)`` and the dense
+    frame matrices (Z, Zbar), whose 1-sparsity is asserted.
+    """
+    exponents = monomial_exponents(degree)
+    exp_index = {tuple(e): i for i, e in enumerate(exponents)}
+
+    blocks = {}
+    for i, (a1, a2, b1, b2) in enumerate(exponents):
+        blocks.setdefault((int(a1 - b1), int(a2 - b2)), []).append(i)
+
+    accepted = []  # (k1, k2, deg, terms, norm2)
+    for key in sorted(blocks):
+        rows = blocks[key]
+        rows.sort(key=lambda i: (int(exponents[i].sum()), tuple(exponents[i])))
+        ortho = []  # list of (terms, norm2) accepted in this block
+        for i in rows:
+            exp = tuple(int(v) for v in exponents[i])
+            cand = {exp: Fraction(1)}
+            cand_list = [(exp, Fraction(1))]
+            own_norm2 = _pair_exact(cand_list, cand_list)
+            # subtract projections onto the accepted block members
+            for terms, norm2 in ortho:
+                inner = _pair_exact(cand_list, terms)
+                if inner:
+                    coef = inner / norm2
+                    for e, c in terms:
+                        cand[e] = cand.get(e, Fraction(0)) - coef * c
+                    cand_list = [(e, c) for e, c in sorted(cand.items()) if c != 0]
+            residual2 = _pair_exact(cand_list, cand_list)
+            if residual2 <= PIVOT_RELATIVE_THRESHOLD ** 2 * own_norm2:
+                # exact arithmetic: dependent candidates give exactly zero
+                if residual2 != 0:
+                    raise AssertionError("near-zero but nonzero exact pivot")
+                continue
+            ortho.append((cand_list, residual2))
+            accepted.append((key[0], key[1], sum(exp), cand_list, residual2))
+
+    # canonical basis order: degree, then weight sum, then k1
+    accepted.sort(key=lambda t: (t[2], t[0] + t[1], t[0], t[1]))
+
+    size = len(accepted)
+    coeffs = np.zeros((len(exponents), size))
+    k1 = np.array([t[0] for t in accepted])
+    k2 = np.array([t[1] for t in accepted])
+    deg = np.array([t[2] for t in accepted])
+    rational = [t[3] for t in accepted]
+    norms2 = [t[4] for t in accepted]
+    for j, (_, _, _, terms, norm2) in enumerate(accepted):
+        scale = 1.0 / math.sqrt(norm2)
+        for e, c in terms:
+            coeffs[exp_index[e], j] = float(c) * scale
+
+    slot = {(int(a), int(b), int(d)): i for i, (a, b, d) in enumerate(zip(k1, k2, deg))}
+    frames = {_z_terms: np.zeros((size, size)), _zbar_terms: np.zeros((size, size))}
+    for i in range(size):
+        terms = rational[i]
+        n2_i = norms2[i]
+        for op, shift in ((_z_terms, -1), (_zbar_terms, +1)):
+            img = op(terms)
+            img_norm2 = _pair_exact(img, img)
+            j = slot.get((int(k1[i]) + shift, int(k2[i]) + shift, int(deg[i])))
+            if j is None:
+                if img_norm2 != 0:
+                    raise AssertionError("frame derivative left the basis span")
+                continue
+            inner = _pair_exact(img, rational[j])
+            n2_j = norms2[j]
+            # the image must be entirely in slot j: |<img, b_j>|^2 = |img|^2 |b_j|^2
+            if img_norm2 * n2_j != inner * inner:
+                raise AssertionError("frame derivative image is not 1-sparse")
+            # normalized entry <op beta_i, beta_j>: its square is rational,
+            # its sign that of the exact pairing
+            entry2 = inner * inner / (n2_i * n2_j)
+            frames[op][j, i] = math.copysign(math.sqrt(float(entry2)), inner)
+    p = (deg + k1 + k2) // 2
+    q = (deg - k1 - k2) // 2
+    return k1, k2, deg, p, q, coeffs, frames[_z_terms], frames[_zbar_terms]
+
+
+# basis_id of each degree as stored in files written before the closed form
+STORED_BASIS_IDS = {4: "ee047f2030aba9c6", 6: "ee858d3180bd4d2d",
+                    8: "c25e291ba17164c2", 10: "64521f4e1bac4850"}
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 10])
+def test_closed_form_matches_exact_gram_schmidt(N):
+    k1, k2, deg, p, q, coeffs, z, zbar = exact_gram_schmidt(N)
+    basis = cached_basis(N)
+    for got, expect in ((basis.k1, k1), (basis.k2, k2), (basis.degrees, deg),
+                        (basis.bidegree_p, p), (basis.bidegree_q, q)):
+        assert np.array_equal(got, expect)
+    support = coeffs != 0
+    assert np.array_equal(basis.coeffs != 0, support)
+    rel = np.abs(basis.coeffs[support] - coeffs[support]) / np.abs(coeffs[support])
+    assert np.max(rel) < 1e-14
+    assert np.array_equal(basis.frame_z_matrix.toarray(), z)
+    assert np.array_equal(basis.frame_zbar_matrix.toarray(), zbar)
+    assert basis.basis_id == STORED_BASIS_IDS[N]
 
 
 def test_dimension_formula():

@@ -172,6 +172,28 @@ def test_config_validation_rejects_non_finite(tmp_path, command, flag):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("size", ["x", "nan", "-1", "inf", "0"])
+def test_slice_auto_size_rejected_by_argparse(tmp_path, size):
+    # checked while parsing, before any file is read or basis is built
+    out = run_cli_subprocess("slice", "--degree", "4", "--in", tmp_path / "absent.json",
+                             "--generator", f"auto:{size}")
+    assert out.returncode == 2
+    errors = [line for line in out.stderr.splitlines() if "error:" in line]
+    assert errors == ["crsphere slice: error: argument --generator: auto size must be "
+                      f"positive and finite, got {size!r}"]
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("kind", ["random", "prefab-normal-form"])
+def test_exit_code_gen_too_large_for_neighbourhood(tmp_path, kind):
+    # a huge --eps is a valid config; the drawn tensor then has sup |phi| >= 1
+    out = run_cli_subprocess("gen", "--kind", kind, "--degree", "6", "--eps", "1000",
+                             "--out", tmp_path / "phi.json")
+    assert_one_line_error(out, 3)
+    assert "sup |phi|" in out.stderr
+    assert not (tmp_path / "phi.json").exists()
+
+
 def _drop_coefficient(obj):
     del obj["coefficient"]
 

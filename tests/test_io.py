@@ -5,7 +5,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from conftest import cached_basis, cached_suite
 from crsphere import io
 from crsphere.flow import DeformationTensor
 from crsphere.normal_form import random_deformation, solve
@@ -153,3 +156,89 @@ def test_file_sha256_matches_content(tmp_path):
     path = tmp_path / "a.txt"
     path.write_text("abc")
     assert io.file_sha256(path) == io.sha256_hex("abc")
+
+
+# -- properties: exact round trips, non-finite input rejected where it enters
+
+PROPERTY_DEGREE = 4  # 55 basis functions
+# no shrink phase: shrinking 110 unbounded floats can run for minutes, and an
+# unshrunk counterexample still names the failing list
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             phases=[Phase.explicit, Phase.generate])
+
+
+def _pair_lists(bound=None):
+    size = cached_basis(PROPERTY_DEGREE).size
+    if bound is None:
+        part = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        part = st.floats(min_value=-bound, max_value=bound)
+    return st.lists(st.tuples(part, part), min_size=size, max_size=size)
+
+
+def _through_text(obj):
+    return json.loads(io.canonical_dumps(obj))
+
+
+def _bits(coeffs):
+    return np.asarray(coeffs, dtype=complex).view(np.uint64)
+
+
+@PROPERTY_SETTINGS
+@given(_pair_lists())
+def test_scalar_roundtrip_is_exact(pairs):
+    basis = cached_basis(PROPERTY_DEGREE)
+    f = basis.scalar([complex(re, im) for re, im in pairs])
+    back = io.scalar_from_json(basis, _through_text(io.scalar_to_json(f)))
+    assert np.array_equal(_bits(back.coeffs), _bits(f.coeffs))
+
+
+@PROPERTY_SETTINGS
+@given(_pair_lists(bound=1e-3))
+def test_deformation_roundtrip_is_exact(pairs):
+    # |c_j| <= sqrt(2) 1e-3 and sum_j sup|beta_j| < 80 at N = 4, so sup |phi| < 1
+    basis = cached_basis(PROPERTY_DEGREE)
+    phi = DeformationTensor(basis.scalar([complex(re, im) for re, im in pairs]))
+    back = io.deformation_from_json(basis, _through_text(io.deformation_to_json(phi)))
+    assert np.array_equal(_bits(back.coefficient.coeffs), _bits(phi.coefficient.coeffs))
+
+
+@PROPERTY_SETTINGS
+@given(_pair_lists(bound=1e100))
+def test_contact_field_roundtrip_is_exact(pairs):
+    from crsphere.fields import contact_from_generating
+    suite = cached_suite(PROPERTY_DEGREE)
+    g = suite.basis.scalar([complex(re, im) for re, im in pairs]).real_part()
+    X = contact_from_generating(suite, g)
+    back = io.contact_field_from_json(suite, _through_text(io.contact_field_to_json(X)))
+    assert np.array_equal(_bits(back.generating.coeffs), _bits(X.generating.coeffs))
+    assert np.array_equal(_bits(back.horizontal.coeffs), _bits(X.horizontal.coeffs))
+
+
+@PROPERTY_SETTINGS
+@given(_pair_lists(bound=1e-3), st.data(),
+       st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+def test_non_finite_coefficient_is_input_error(pairs, data, bad):
+    from crsphere.fields import contact_from_generating
+    suite = cached_suite(PROPERTY_DEGREE)
+    basis = suite.basis
+    pairs = [list(pair) for pair in pairs]
+    index = data.draw(st.integers(0, len(pairs) - 1))
+    pairs[index][data.draw(st.integers(0, 1))] = bad
+    scalar = dict(io.scalar_to_json(basis.zero()), coeffs=pairs)
+    with pytest.raises(io.InputError, match="NaN or infinite"):
+        io.scalar_from_json(basis, scalar)
+    with pytest.raises(io.InputError, match="NaN or infinite"):
+        io.deformation_from_json(basis, {"type": "deformation_tensor", "coefficient": scalar})
+    field = dict(io.contact_field_to_json(contact_from_generating(suite, basis.zero())), g=pairs)
+    with pytest.raises(io.InputError, match="NaN or infinite"):
+        io.contact_field_from_json(suite, field)
+
+
+def test_coefficient_beyond_float_range_is_input_error(basis6):
+    # json.loads keeps a long integer literal as an int, which no float holds
+    good = io.scalar_to_json(basis6.zero())
+    pairs = [list(pair) for pair in good["coeffs"]]
+    pairs[2][0] = json.loads("1" + "0" * 400)
+    with pytest.raises(io.InputError, match="beyond the float range"):
+        io.scalar_from_json(basis6, dict(good, coeffs=pairs))

@@ -165,6 +165,32 @@ def test_v_gauge_parameter_certificates(suite6):
     assert v_defect < 1e-12 * scale
 
 
+def v_gauge_parameter_two_harmonic_solves(suite, raw, rounds=40, tol=1e-13):
+    """The gauge projection recomputing K_harm of each iterate at the start of
+    the next round (the oracle for carrying the certificate over)."""
+    from crsphere.fields import complex_contact
+    y = raw
+    scale = max(1.0, raw.l2_norm())
+    for _ in range(rounds):
+        y = y - suite.k_harm(complex_contact(suite, y).as_hol_field()).f
+        u = suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part())
+        y = y + 1j * u
+        harm_cert = suite.k_harm(complex_contact(suite, y).as_hol_field()).f.l2_norm()
+        v_cert = suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part()).l2_norm()
+        if harm_cert < tol * scale and v_cert < tol * scale:
+            return y
+    raise ArithmeticError("gauge projection stalled")
+
+
+def test_v_gauge_parameter_matches_two_solve_loop(suite6, suite8):
+    for suite in (suite6, suite8):
+        for seed in range(4):
+            raw = suite.basis.random_scalar(np.random.default_rng(seed))
+            got = nf.v_gauge_parameter(suite, raw).coeffs
+            expect = v_gauge_parameter_two_harmonic_solves(suite, raw).coeffs
+            assert np.array_equal(got, expect), (suite.basis.degree, seed)
+
+
 def test_random_deformation_targets_norm(suite6):
     rng = np.random.default_rng(90)
     phi = nf.random_deformation(suite6.basis, rng, 7e-3, order=6)
