@@ -8,7 +8,12 @@ stage. All reduce to
     out[i, j] = sum_m z1[i]^a1[m] z2[i]^a2[m] conj(z1[i])^b1[m] conj(z2[i])^b2[m] C[m, j]
 
 which is a monomial design matrix times a coefficient matrix. Points are
-processed in blocks so the design matrix never holds more than a few MB.
+processed in blocks of _BLOCK, and the design of a block (monomials ×
+_BLOCK complex numbers) is built in place: at most two such arrays, the
+design and one indexed factor, are alive at once. Each is 16 MB at N = 8
+(495 monomials), 60 MB at N = 12 (1820) and 350 MB at N = 20 (10626).
+Smaller blocks were slower in real solves, because every block is a fresh
+allocation that pays its page faults.
 ``flow.py`` and ``basis.py`` look ``eval_poly`` up on this module at call
 time.
 """
@@ -52,6 +57,9 @@ def eval_poly(z1, z2, exponents, coeff_columns):
         p2 = _pow_table(z2[start:stop], max_degree)
         q1 = np.conj(p1)
         q2 = np.conj(p2)
-        design = (p1[a1] * p2[a2] * q1[b1] * q2[b2]).T
-        out[start:stop] = design @ coeff_columns
+        design = p1[a1]
+        design *= p2[a2]
+        design *= q1[b1]
+        design *= q2[b2]
+        out[start:stop] = design.T @ coeff_columns
     return out

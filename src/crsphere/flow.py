@@ -26,11 +26,17 @@ Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 read nodewise from the Z and Z̄ columns of F's frame maps and projected back
 to the basis. The composition factor φ∘F may be frozen at a different
 diffeomorphism (the remainder E and the contraction map need that variant).
+
+The identity is marked explicitly (``ContactDiffeo.is_identity``), never
+inferred from a missing generator, because a composite also has none. Its
+frame maps are the exact 3×3 identity, and f∘F at its images (the nodes)
+is the FFT synthesis ``f.values()``; any other F evaluates f at its images.
+Every solve starts at X = 0, so its first pullback evaluates no polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,15 +209,18 @@ class ContactDiffeo:
     jacobians: np.ndarray       # (n, 2, 4), rows F1, F2 over (z1, z2, z̄1, z̄2)
     frame_maps: np.ndarray = field(repr=False)  # (n, 3, 3), see _frame_maps
     contact_ratio: float = 0.0
+    is_identity: bool = False
 
     @staticmethod
     def identity(basis: Basis) -> "ContactDiffeo":
+        """The identity at the nodes: (T, Z, Z̄) is dual to (η, ω, ω̄), so
+        the frame maps are exactly the 3×3 identity and the ratio is 0."""
         nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
         jac = np.zeros((len(nodes), 2, 4), dtype=complex)
         jac[:, 0, 0] = 1.0
         jac[:, 1, 1] = 1.0
-        maps = _frame_maps(basis, nodes, nodes, jac)
-        return ContactDiffeo(basis, None, 0, nodes, jac, maps, _contact_ratio(maps))
+        maps = np.broadcast_to(np.eye(3, dtype=complex), (len(nodes), 3, 3))
+        return ContactDiffeo(basis, None, 0, nodes, jac, maps, 0.0, is_identity=True)
 
     def sphere_defect(self):
         return float(np.abs(np.abs(self.images[:, 0]) ** 2
@@ -240,10 +249,8 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS, norm_cap=FLOW_NORM_CAP) -> C
             raise FlowError(f"contact field too large to flow (norm {norm:.3g} > {norm_cap})")
 
     exps, cols = _flow_columns(X)
-    nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
-    jac0 = np.zeros((len(nodes), 2, 4), dtype=complex)
-    jac0[:, 0, 0] = 1.0
-    jac0[:, 1, 1] = 1.0
+    start = ContactDiffeo.identity(basis)
+    nodes, jac0 = start.images, start.jacobians
 
     n_steps = steps
     coarse_images, coarse_jac = _integrate(exps, cols, nodes, jac0, n_steps // 2)
@@ -265,14 +272,17 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS, norm_cap=FLOW_NORM_CAP) -> C
 
 
 def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
-    """The diffeomorphism outer ∘ inner, by transporting inner's data."""
+    """The diffeomorphism outer ∘ inner, by transporting inner's data along
+    outer's flow. The outer map must be the identity or a flow: a composite
+    has no generator to integrate."""
+    if outer.is_identity:
+        return replace(inner, generator=None)
+    if outer.generator is None:
+        raise ValueError("compose needs an outer flow or the identity, got a composite")
     basis = inner.basis
     nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
-    if outer.generator is None:
-        images, jac = inner.images, inner.jacobians
-    else:
-        exps, cols = _flow_columns(outer.generator)
-        images, jac = _integrate(exps, cols, inner.images, inner.jacobians, outer.steps)
+    exps, cols = _flow_columns(outer.generator)
+    images, jac = _integrate(exps, cols, inner.images, inner.jacobians, outer.steps)
     maps = _frame_maps(basis, nodes, images, jac)
     return ContactDiffeo(basis, None, max(outer.steps, inner.steps),
                          images, jac, maps, _contact_ratio(maps))
@@ -282,9 +292,17 @@ def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
 # pullbacks
 
 
+def _composed_values(f: SpectralScalar, F: ContactDiffeo):
+    """f ∘ F at the nodes: the FFT synthesis for the identity, otherwise f
+    evaluated at F's images."""
+    if F.is_identity:
+        return f.values()
+    return f.eval(F.images[:, 0], F.images[:, 1])
+
+
 def pullback_scalar(F: ContactDiffeo, f: SpectralScalar) -> SpectralScalar:
-    """f ∘ F by exact polynomial evaluation at mapped nodes, then projection."""
-    return F.basis.project_with_mass(f.eval(F.images[:, 0], F.images[:, 1]))
+    """f ∘ F at the nodes (see ``_composed_values``), then projection."""
+    return F.basis.project_with_mass(_composed_values(f, F))
 
 
 def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
@@ -292,10 +310,10 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     """F*φ as a deformation tensor: μ = B/A nodewise, projected to the basis.
 
     ``composition_values`` freezes the φ∘F factor at given nodewise values
-    (used by the remainder map); by default it is φ evaluated at F's images.
+    (used by the remainder map); by default it is φ∘F (``_composed_values``).
     """
     if composition_values is None:
-        composition_values = phi.coefficient.eval(F.images[:, 0], F.images[:, 1])
+        composition_values = _composed_values(phi.coefficient, F)
     # ω and ω̄ at F(x) of dF Z and dF Z̄ are columns 1 and 2 of the frame maps
     maps = F.frame_maps
     a_vals = maps[:, 1, 1] + composition_values * maps[:, 2, 1]
@@ -316,7 +334,7 @@ def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,
     basis = X.basis
     F = flow(X, steps=steps)
     Fc = F if compose_with is None else compose_with
-    comp_values = phi.coefficient.eval(Fc.images[:, 0], Fc.images[:, 1])
+    comp_values = _composed_values(phi.coefficient, Fc)
     mu = pullback_deformation(F, phi, composition_values=comp_values)
     dbar_x = suite.dbar_field(X.as_hol_field())
     comp_proj = basis.from_values(comp_values)

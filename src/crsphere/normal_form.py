@@ -307,22 +307,31 @@ def random_deformation(basis: Basis, rng, target, order=DEFAULT_ORDER,
     return DeformationTensor(raw * (target / raw.fs_norm(order)))
 
 
+def _v_defect(suite: OperatorSuite, y: SpectralScalar) -> SpectralScalar:
+    """π_Re of i y: the real generating function that takes y off V."""
+    return suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part())
+
+
 def v_gauge_parameter(suite: OperatorSuite, raw: SpectralScalar,
                       rounds=40, tol=1e-13) -> SpectralScalar:
-    """Project a parameter into V ∩ ker K by alternating the two projections."""
+    """Project a parameter into V ∩ ker K by alternating the two projections.
+
+    The V projection is the last step of each round, so its certificate
+    sits at roundoff long before the harmonic one; it is evaluated only
+    once the harmonic part is below tolerance.
+    """
     y = raw
     scale = max(1.0, raw.l2_norm())
     harm = suite.k_harm(complex_contact(suite, y).as_hol_field()).f
     for _ in range(rounds):
         y = y - harm
-        u = suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part())
-        y = y + 1j * u
+        y = y + 1j * _v_defect(suite, y)
         harm = suite.k_harm(complex_contact(suite, y).as_hol_field()).f  # next round's too
-        v_cert = suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part()).l2_norm()
-        if harm.l2_norm() < tol * scale and v_cert < tol * scale:
+        if harm.l2_norm() < tol * scale and _v_defect(suite, y).l2_norm() < tol * scale:
             return y
     raise ArithmeticError(
-        f"gauge projection stalled (harmonic {harm.l2_norm():.2e}, V {v_cert:.2e})")
+        f"gauge projection stalled (harmonic {harm.l2_norm():.2e}, "
+        f"V {_v_defect(suite, y).l2_norm():.2e})")
 
 
 @dataclass

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from crsphere.fields import complex_contact_norm, contact_from_generating
-from crsphere.flow import (DEFAULT_FLOW_STEPS, DeformationTensor, FlowError,
-                           NeighbourhoodError, compose, e_remainder, flow,
-                           pullback_deformation, pullback_scalar)
+from crsphere.flow import (DEFAULT_FLOW_STEPS, ContactDiffeo, DeformationTensor,
+                           FlowError, NeighbourhoodError, _frame_maps, compose,
+                           e_remainder, flow, pullback_deformation, pullback_scalar)
 from crsphere.normal_form import random_deformation
+
+from conftest import cached_basis, cached_suite
 
 
 def small_field(suite, seed, size, max_degree=4):
@@ -24,7 +26,8 @@ def test_identity_flow(suite6):
     z1, z2 = suite6.basis.grid.z1, suite6.basis.grid.z2
     assert np.max(np.abs(F.images[:, 0] - z1)) == 0.0
     assert np.max(np.abs(F.images[:, 1] - z2)) == 0.0
-    assert F.contact_ratio < 1e-12
+    assert F.is_identity and F.contact_ratio == 0.0
+    assert not flow(small_field(suite6, 77, 2e-3)).is_identity
 
 
 def test_hopf_flow_closed_form(suite6):
@@ -261,6 +264,78 @@ def test_compose_tracks_generator_none(suite6):
     G = compose(F, F)
     assert G.generator is None
     assert G.steps == F.steps
+    assert not G.is_identity
+
+
+def test_compose_with_composite_outer_raises(suite6):
+    # a composite has no generator to integrate; it used to be read as the
+    # identity, so compose(F∘F, F) returned F's images unchanged
+    X = small_field(suite6, 78, 4e-3)
+    F = flow(X, steps=16)
+    with pytest.raises(ValueError, match="composite"):
+        compose(compose(F, F), F)
+    # a composite inner is fine: F∘(F∘F) is the flow of 3X
+    cubed = compose(F, compose(F, F))
+    ref = flow(3.0 * X, steps=64)
+    assert np.abs(cubed.images - ref.images).max() < 1e-12
+
+
+def test_compose_of_identities_is_identity(suite6):
+    ident = ContactDiffeo.identity(suite6.basis)
+    assert compose(ident, ident).is_identity
+    F = flow(small_field(suite6, 79, 2e-3), steps=16)
+    for G in (compose(ident, F), compose(F, ident)):
+        assert not G.is_identity
+        assert np.abs(G.images - F.images).max() < 1e-15
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+def test_identity_frame_maps_match_computed(degree):
+    # the oracle: the frame maps of the identity Jacobian computed from the
+    # frame vectors and forms, as every moving flow computes them
+    basis = cached_basis(degree)
+    ident = ContactDiffeo.identity(basis)
+    computed = _frame_maps(basis, ident.images, ident.images, ident.jacobians)
+    assert np.abs(computed - ident.frame_maps).max() < 1e-14
+    assert np.array_equal(ident.frame_maps, np.broadcast_to(np.eye(3), computed.shape))
+
+
+def _evaluated(f, F):
+    """The oracle of φ∘F: f evaluated over its monomials at F's images."""
+    return f.eval(F.images[:, 0], F.images[:, 1])
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+def test_identity_composition_matches_evaluation(degree):
+    # the three φ∘F sites take the FFT synthesis at the identity; evaluating
+    # over all monomials must give the same tensors to roundoff
+    suite = cached_suite(degree)
+    basis = suite.basis
+    ident = ContactDiffeo.identity(basis)
+    rng = np.random.default_rng(80 + degree)
+    phi = random_deformation(basis, rng, 5e-3)
+    scale = phi.coefficient.l2_norm()
+    exact = _evaluated(phi.coefficient, ident)
+
+    got = pullback_deformation(ident, phi).coefficient
+    expect = pullback_deformation(ident, phi, composition_values=exact).coefficient
+    assert (got - expect).l2_norm() < 1e-12 * scale
+    assert (got - phi.coefficient).l2_norm() < 1e-12 * scale
+
+    f = basis.random_scalar(rng)
+    got = pullback_scalar(ident, f)
+    assert (got - basis.project_with_mass(_evaluated(f, ident))).l2_norm() < 1e-12 * f.l2_norm()
+
+    # E at X = 0 composes with its own (identity) flow; a moving X frozen at
+    # the identity composes with the identity too
+    zero = contact_from_generating(suite, basis.zero())
+    X = small_field(suite, 81, 2e-3)
+    for field, frozen in ((zero, None), (X, ident)):
+        got = e_remainder(suite, field, phi, compose_with=frozen)
+        mu = pullback_deformation(flow(field), phi, composition_values=exact)
+        expect = (mu.coefficient - suite.dbar_field(field.as_hol_field()).q
+                  - basis.from_values(exact))
+        assert (got - expect).l2_norm() < 1e-12 * scale
 
 
 def test_package_attribute_flow_is_the_module():

@@ -5,7 +5,7 @@ import pytest
 
 from crsphere.fields import complex_contact_norm, contact_from_generating
 from crsphere.flow import DeformationTensor, flow, pullback_deformation
-from crsphere import normal_form as nf
+from crsphere import _core, normal_form as nf
 
 
 def test_zero_deformation_gives_zero_normal_form(suite6):
@@ -56,6 +56,35 @@ def test_pullback_of_zero_evaluates_no_polynomial(suite6, monkeypatch):
     inst = nf.pullback_of_zero(suite6, np.random.default_rng(82), target=2e-3)
     assert calls == []
     assert inst.phi.fs_norm(6) > 0
+
+
+def test_prefab_solve_evaluates_no_polynomial(suite6, monkeypatch):
+    # the exact answer has X = 0, so every flow is the identity and every
+    # φ∘F is an FFT synthesis
+    def refuse(*args):
+        raise AssertionError("a prefab solve evaluated a polynomial")
+
+    monkeypatch.setattr(_core, "eval_poly", refuse)
+    inst = nf.prefab_normal_form(suite6, np.random.default_rng(83))
+    result = nf.solve(suite6, inst.phi)
+    assert result.converged and result.iterations >= 2
+
+
+def test_random_solve_first_iteration_evaluates_no_polynomial(suite6, monkeypatch):
+    # iteration 0 runs at X = 0; the later ones flow a real field
+    calls = []
+    eval_poly = _core.eval_poly
+
+    def counted(*args):
+        calls.append(args)
+        return eval_poly(*args)
+
+    monkeypatch.setattr(_core, "eval_poly", counted)
+    phi = nf.random_deformation(suite6.basis, np.random.default_rng(84), 2e-3)
+    first = nf.solve(suite6, phi, max_iter=0, require_convergence=False)
+    assert len(first.history) == 1 and calls == []
+    nf.solve(suite6, phi, max_iter=1, require_convergence=False)
+    assert len(calls) > 0
 
 
 def test_solver_certificates(suite8):
