@@ -1,9 +1,8 @@
 """Polynomial evaluation kernel.
 
 The one hot loop in the package is evaluating many monomial-coefficient
-columns at many points: a scalar at a flow's images (phi o F), the basis at
-the radial quadrature nodes, and the flow's right hand side at every RK4
-stage. All reduce to
+columns at many points: a scalar at a flow's images (phi o F) and the flow's
+right hand side at every RK4 stage. Both reduce to
 
     out[i, j] = sum_m z1[i]^a1[m] z2[i]^a2[m] conj(z1[i])^b1[m] conj(z2[i])^b2[m] C[m, j]
 

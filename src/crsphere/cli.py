@@ -20,7 +20,8 @@ JSON, has the wrong ``type`` or ``kind``, lacks a required key or holds a
 malformed or non-finite (NaN, inf, overflowing) coefficient, or an output
 file cannot be written. Checks that fail in ``verify``/``slice`` exit 1.
 argparse keeps its usual 2 for bad flags, including a non-finite ``--tol``,
-``--eps`` or ``auto:<size>`` and a size that is not positive.
+``--eps`` or ``auto:<size>``, a size that is not positive, a negative
+``--seed`` and an ``--s`` outside 1 to 64.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ VERIFY_HEADER = ["check", "residual", "tol", "status"]
 SLICE_HEADER = ["quantity", "abs_diff", "rel_diff", "tol", "status"]
 SCAN_SEEDS = 10
 SLICE_TOL = 1e-6
+# The order-s Folland-Stein weights grow geometrically in s and overflow a
+# float at s = 317, 201, 146 and 125 for N = 4, 8, 16 and 24.
+MAX_S = 64
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,8 @@ class RunConfig:
     def __post_init__(self):
         if self.degree < 4:
             raise ValueError("--degree must be at least 4")
-        if self.s < 1:
-            raise ValueError("--s must be at least 1")
+        if not 1 <= self.s <= MAX_S:
+            raise ValueError(f"--s must be between 1 and {MAX_S}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("--tol must be positive and finite")
         if self.max_iter < 1:
@@ -78,6 +82,8 @@ class RunConfig:
             raise ValueError("--eps must be positive and finite")
         if not 2 <= self.steps <= MAX_FLOW_STEPS:
             raise ValueError(f"--steps must be between 2 and {MAX_FLOW_STEPS}")
+        if self.seed < 0:
+            raise ValueError("--seed must be non-negative")
 
     def echo(self):
         return {
@@ -95,7 +101,8 @@ def _add_config_flags(parser):
     parser.add_argument("--degree", type=int, default=8,
                         help="spectral truncation degree N (default 8)")
     parser.add_argument("--s", type=int, default=6,
-                        help="Folland-Stein order for norms and stopping (default 6)")
+                        help=f"Folland-Stein order for norms and stopping, 1 to {MAX_S} "
+                             "(default 6)")
     parser.add_argument("--tol", type=float, default=1e-10,
                         help="residual tolerance for the iteration (default 1e-10)")
     parser.add_argument("--max-iter", type=int, default=25,
@@ -106,7 +113,7 @@ def _add_config_flags(parser):
                         help="RK4 steps per contact flow, checked against half as many "
                              f"and doubled until they agree (default {DEFAULT_FLOW_STEPS})")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for anything random (default 0)")
+                        help="non-negative seed for anything random (default 0)")
 
 
 def _config(args) -> RunConfig:

@@ -214,11 +214,11 @@ class ContactDiffeo:
     @staticmethod
     def identity(basis: Basis) -> "ContactDiffeo":
         """The identity at the nodes: (T, Z, Z̄) is dual to (η, ω, ω̄), so
-        the frame maps are exactly the 3×3 identity and the ratio is 0."""
+        the frame maps are exactly the 3×3 identity and the ratio is 0. The
+        Jacobians and frame maps are read-only broadcasts, not per-node
+        arrays; ``_integrate`` copies before it steps."""
         nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
-        jac = np.zeros((len(nodes), 2, 4), dtype=complex)
-        jac[:, 0, 0] = 1.0
-        jac[:, 1, 1] = 1.0
+        jac = np.broadcast_to(np.eye(2, 4, dtype=complex), (len(nodes), 2, 4))
         maps = np.broadcast_to(np.eye(3, dtype=complex), (len(nodes), 3, 3))
         return ContactDiffeo(basis, None, 0, nodes, jac, maps, 0.0, is_identity=True)
 

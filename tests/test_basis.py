@@ -246,6 +246,21 @@ def test_fft_transforms_match_dense_oracle():
         assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect)), N
 
 
+@pytest.mark.parametrize("N", [8, 12, 16])
+def test_radial_gram_is_identity(N):
+    # slots of one torus weight share the Fourier mode, so the quadrature
+    # pairs their radial profiles alone, under the Gauss weights in u
+    basis = cached_basis(N)
+    w = basis.grid.u_weights
+    weights = {}
+    for j, key in enumerate(zip(basis.k1.tolist(), basis.k2.tolist())):
+        weights.setdefault(key, []).append(j)
+    for cols in weights.values():
+        r = basis.radial[:, cols]
+        gram = (r.T * w) @ r
+        assert np.max(np.abs(gram - np.eye(len(cols)))) < 1e-13
+
+
 def test_torus_bigrading(basis6):
     # a weight-(k1, k2) function picks up the phase e^{i(k1 a + k2 b)} under
     # the torus action (z1, z2) -> (e^{ia} z1, e^{ib} z2)
@@ -308,6 +323,21 @@ def test_reeb_derivative_is_diagonal_weight(basis6):
         eigen = 1j * kappa * (basis6.k1[j] + basis6.k2[j])
         expect = eigen * e
         assert np.max(np.abs(got - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_ladder_matrices_obey_frame_brackets(N):
+    # [Z, Zbar] = -i levi T, [T, Z] = -4i Z and [T, Zbar] = 4i Zbar, as
+    # products of the coefficient matrices (operators compose right to left)
+    basis = cached_basis(N)
+    z = basis.frame_z_matrix.toarray()
+    zb = basis.frame_zbar_matrix.toarray()
+    t = np.diag(basis.t_eigs)
+    tol = 1e-13 * np.max(np.abs(basis.t_eigs))
+    levi = float(basis.geometry.levi)
+    assert np.max(np.abs(z @ zb - zb @ z + 1j * levi * t)) < tol
+    assert np.max(np.abs(t @ z - z @ t + 4j * z)) < tol
+    assert np.max(np.abs(t @ zb - zb @ t - 4j * zb)) < tol
 
 
 def rng_indices(size, count):

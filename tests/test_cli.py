@@ -238,6 +238,22 @@ def test_config_validation_rejects_steps_out_of_range(steps, capsys):
     assert "--steps must be between 2 and" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "--seed must be non-negative"),
+    (["--s", "0"], "--s must be between 1 and 64"),
+    (["--s", "65"], "--s must be between 1 and 64"),
+])
+def test_config_validation_rejects_seed_and_s_out_of_range(flags, message, tmp_path, capsys):
+    for command in ("gen", "verify"):
+        argv = [command, "--degree", "4", *flags]
+        if command == "gen":
+            argv += ["--kind", "random", "--out", str(tmp_path / "phi.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_verify_passes_and_writes_csv(tmp_path):
     out = tmp_path / "verify.csv"
     assert run_cli("verify", "--degree", "4", "--seed", "5", "--out", out) == 0

@@ -26,8 +26,63 @@ def test_derived_scales_frozen():
     assert GEOM.eta_scale == Fraction(1, 2)
     assert GEOM.kappa == Fraction(2)
     assert GEOM.levi == Fraction(1, 2)
-    assert GEOM.bracket_z_zbar_vs_t == Fraction(1, 2)
-    assert GEOM.bracket_t_z_vs_z == -4j
+
+
+# The frame fields are linear on C^2: in x = (z1, z2, zbar1, zbar2) each is
+# V(x) = A x, a 4x4 matrix A of Gaussian integers whose row j is the d/dx_j
+# component. Then [V, W] = (B A - A B) x, and eta_raw(V) and d eta_raw(V, W)
+# are quadratic forms x^T M x. A homogeneous quadratic is a constant c on S^3
+# exactly when it equals c |z|^2 = c (x0 x2 + x1 x3) identically, so every
+# sphere identity below compares matrices of small Gaussian integers, whose
+# floating-point products and sums are exact.
+FRAME_Z = np.zeros((4, 4), dtype=complex)
+FRAME_Z[0, 3], FRAME_Z[1, 2] = 1, -1  # conj(z2) d/dz1 - conj(z1) d/dz2
+FRAME_ZBAR = np.zeros((4, 4), dtype=complex)
+FRAME_ZBAR[2, 1], FRAME_ZBAR[3, 0] = 1, -1  # z2 d/dzbar1 - z1 d/dzbar2
+FRAME_T_UNSCALED = 1j * np.diag([1, 1, -1, -1])  # T / kappa
+_EYE2, _ZERO2 = np.eye(2), np.zeros((2, 2))
+SQUARE_NORM = np.block([[_ZERO2, _EYE2], [_EYE2, _ZERO2]])  # 2 x (|z|^2 form)
+WEDGE = np.block([[_ZERO2, _EYE2], [-_EYE2, _ZERO2]])  # sum_j dz_j ^ dzbar_j
+
+
+def sphere_constant(m):
+    """The Gaussian integer c with x^T m x = c |z|^2; fails if there is none."""
+    sym = m + m.T
+    c = sym[0, 2]
+    assert np.array_equal(sym, c * SQUARE_NORM)
+    assert c == complex(int(c.real), int(c.imag))
+    return c
+
+
+def d_eta_raw(a, b):
+    # d Im(zbar . dz) = i sum_j dz_j ^ dzbar_j, so d eta_raw(V, W) = i (A x)^T WEDGE (B x)
+    return sphere_constant(1j * a.T @ WEDGE @ b)
+
+
+def bracket(a, b):
+    return b @ a - a @ b
+
+
+def test_geometry_oracle_by_linear_algebra():
+    # d eta(Z, Zbar) = i/2 fixes eta_scale
+    pairing = d_eta_raw(FRAME_Z, FRAME_ZBAR)
+    assert pairing.real == 0
+    eta_scale = Fraction(1, 2) / int(pairing.imag)
+    # 2i eta_raw(V) = zbar . V_z - z . V_zbar = -x^T WEDGE (A x); eta(T) = 1 fixes kappa
+    two_i_eta_t = sphere_constant(-WEDGE @ FRAME_T_UNSCALED)
+    assert two_i_eta_t.real == 0
+    kappa = 1 / (eta_scale * Fraction(int(two_i_eta_t.imag), 2))
+    # Reeb condition T -| d eta = 0 on both legs (kappa and eta_scale factor out)
+    assert d_eta_raw(FRAME_T_UNSCALED, FRAME_Z) == 0
+    assert d_eta_raw(FRAME_T_UNSCALED, FRAME_ZBAR) == 0
+    levi = eta_scale * int(pairing.imag)  # -i d eta(Z, Zbar)
+    assert (eta_scale, kappa, levi) == (Fraction(1, 2), Fraction(2), Fraction(1, 2))
+    assert (GEOM.eta_scale, GEOM.kappa, GEOM.levi) == (eta_scale, kappa, levi)
+    # [Z, Zbar] = -i levi T, [T, Z] = -4i Z, [T, Zbar] = 4i Zbar; all scalars are dyadic
+    t_field = float(GEOM.kappa) * FRAME_T_UNSCALED
+    assert np.array_equal(bracket(FRAME_Z, FRAME_ZBAR), -1j * float(GEOM.levi) * t_field)
+    assert np.array_equal(bracket(t_field, FRAME_Z), -4j * FRAME_Z)
+    assert np.array_equal(bracket(t_field, FRAME_ZBAR), 4j * FRAME_ZBAR)
 
 
 def test_frame_vectors_pointwise():
