@@ -244,13 +244,12 @@ class Basis:
     def from_values(self, values):
         return SpectralScalar(self, self.project_values(np.asarray(values, dtype=complex)))
 
-    def random_scalar(self, rng, max_degree=None, real=False):
-        """Seeded random element, optionally band-limited and real."""
+    def random_scalar(self, rng, max_degree=None):
+        """Seeded random complex element, optionally band-limited."""
         max_degree = self.degree if max_degree is None else max_degree
         c = rng.standard_normal(self.size) + 1j * rng.standard_normal(self.size)
         c[self.degrees > max_degree] = 0.0
-        f = self.scalar(c)
-        return f.real_part() if real else f
+        return self.scalar(c)
 
     # -- frame derivatives and norms ---------------------------------------
 

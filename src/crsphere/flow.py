@@ -227,7 +227,7 @@ class ContactDiffeo:
                             + np.abs(self.images[:, 1]) ** 2 - 1.0).max())
 
 
-def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS, norm_cap=FLOW_NORM_CAP) -> ContactDiffeo:
+def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     """Time-1 contact flow of X from the quadrature nodes.
 
     Integrates at ``steps`` and at ``steps // 2`` RK4 steps and accepts the
@@ -236,6 +236,8 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS, norm_cap=FLOW_NORM_CAP) -> C
     the step count doubles, reusing the finer flow as the coarse one, up to
     MAX_FLOW_STEPS; past that it raises FlowError. The returned ``steps`` is
     the accepted count, so it exceeds the requested one only after a doubling.
+    A field whose order-FLOW_NORM_ORDER norm exceeds FLOW_NORM_CAP raises
+    FlowError.
     """
     if steps < 2:
         raise ValueError(f"flow needs at least 2 steps to check itself, got {steps}")
@@ -243,10 +245,9 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS, norm_cap=FLOW_NORM_CAP) -> C
     size = X.generating.l2_norm() + X.horizontal.l2_norm()
     if size < _IDENTITY_CUTOFF:
         return ContactDiffeo.identity(basis)
-    if norm_cap is not None:
-        norm = X.fs_norm(FLOW_NORM_ORDER)
-        if norm > norm_cap:
-            raise FlowError(f"contact field too large to flow (norm {norm:.3g} > {norm_cap})")
+    norm = X.fs_norm(FLOW_NORM_ORDER)
+    if norm > FLOW_NORM_CAP:
+        raise FlowError(f"contact field too large to flow (norm {norm:.3g} > {FLOW_NORM_CAP})")
 
     exps, cols = _flow_columns(X)
     start = ContactDiffeo.identity(basis)

@@ -312,26 +312,23 @@ def _v_defect(suite: OperatorSuite, y: SpectralScalar) -> SpectralScalar:
     return suite.pi_re_solve((1j * y + suite.box_b(1j * y)).real_part())
 
 
-def v_gauge_parameter(suite: OperatorSuite, raw: SpectralScalar,
-                      rounds=40, tol=1e-13) -> SpectralScalar:
-    """Project a parameter into V ∩ ker K by alternating the two projections.
+def _harmonic_free_slots(suite: OperatorSuite):
+    """The slots outside the harmonic mask and its conjugate, min(p, q) ≥ 2."""
+    mask = suite.harmonic_mask
+    return (mask == 0) & (mask[suite.basis.conj_index] == 0)
 
-    The V projection is the last step of each round, so its certificate
-    sits at roundoff long before the harmonic one; it is evaluated only
-    once the harmonic part is below tolerance.
+
+def v_gauge_parameter(suite: OperatorSuite, raw: SpectralScalar) -> SpectralScalar:
+    """Project a parameter into V ∩ ker K in one step.
+
+    K is the harmonic slot mask on complex contact fields (see
+    ``operators``), and the V projection y ↦ y + i π_Re(iy) is diagonal up to
+    slot conjugation, so it keeps any conjugation-symmetric support. Zeroing
+    the harmonic slots and their conjugates and projecting onto V once
+    therefore lands in both.
     """
-    y = raw
-    scale = max(1.0, raw.l2_norm())
-    harm = suite.k_harm(complex_contact(suite, y).as_hol_field()).f
-    for _ in range(rounds):
-        y = y - harm
-        y = y + 1j * _v_defect(suite, y)
-        harm = suite.k_harm(complex_contact(suite, y).as_hol_field()).f  # next round's too
-        if harm.l2_norm() < tol * scale and _v_defect(suite, y).l2_norm() < tol * scale:
-            return y
-    raise ArithmeticError(
-        f"gauge projection stalled (harmonic {harm.l2_norm():.2e}, "
-        f"V {_v_defect(suite, y).l2_norm():.2e})")
+    y = suite.basis.scalar(np.where(_harmonic_free_slots(suite), raw.coeffs, 0.0))
+    return y + 1j * _v_defect(suite, y)
 
 
 @dataclass
@@ -345,8 +342,9 @@ def prefab_normal_form(suite: OperatorSuite, rng, target=5e-3, order=DEFAULT_ORD
                        max_degree=None) -> PrefabInstance:
     """φ = i∂̄Y₀ + ψ₀ with Y₀ ∈ V ∩ ker K and harmonic ψ₀, sized to target.
 
-    By construction the solver's exact answer is (0, Y₀, ψ₀), reached
-    without any flow integration.
+    Y₀ is a random draw put into the gauge slice by ``v_gauge_parameter``
+    and ψ₀ the combined Q of another. By construction the solver's exact
+    answer is (0, Y₀, ψ₀), reached without any flow integration.
     """
     basis = suite.basis
     if max_degree is None:
@@ -360,48 +358,32 @@ def prefab_normal_form(suite: OperatorSuite, rng, target=5e-3, order=DEFAULT_ORD
     return PrefabInstance(DeformationTensor(phi_coeff * scale), y0 * scale, psi0 * scale)
 
 
-_HARMONIC_FREE_CACHE = {}
-
-
 def harmonic_free_basis(suite: OperatorSuite, max_degree=4):
     """Orthonormal real generating functions g with K(Z_g) = 0.
 
     Real contact fields split into infinitesimal automorphisms (harmonic,
     K(Z_g) = Z_g: all of degree ≤ 3 plus part of every higher band) and
-    the K-free complement, which first appears in the bidegree-(2,2)
-    block. Columns are coefficient vectors of an orthonormal basis of the
-    K-free part within degree ≤ max_degree.
+    the K-free complement. K(Z_g) = Z_{Mg} with M the harmonic slot mask
+    (q ≤ 1), and the coefficients of a real g are conjugation-symmetric, so
+    the K-free part lives on the slots with p, q ≥ 2: it first appears in
+    the bidegree-(2,2) block. Columns are coefficient vectors of the real
+    e_i, (e_i + e_j)/√2 and i(e_i − e_j)/√2 (j the conjugate slot of i) over
+    those slots of degree ≤ max_degree.
     """
-    key = (suite.basis.basis_id, max_degree)
-    cached = _HARMONIC_FREE_CACHE.get(key)
-    if cached is not None:
-        return cached
     basis = suite.basis
     nb = basis.size
-    # orthonormal real scalars of degree <= max_degree: conjugation maps slot
-    # i to conj_index[i] (same degree), giving e_i or (e_i ± e_j)/√2 pairs
     cols = []
-    for i, j in enumerate(basis.conj_index.tolist()):
-        if basis.degrees[i] > max_degree or j < i:
+    for i in np.flatnonzero(_harmonic_free_slots(suite) & (basis.degrees <= max_degree)).tolist():
+        j = int(basis.conj_index[i])
+        if j < i:
             continue
         e_i, e_j = np.zeros(nb, dtype=complex), np.zeros(nb, dtype=complex)
         e_i[i], e_j[j] = 1.0, 1.0
         cols += [e_i] if i == j else [(e_i + e_j) / np.sqrt(2.0), 1j * (e_i - e_j) / np.sqrt(2.0)]
-    sub = np.array(cols).T
-    defect = np.empty((nb, sub.shape[1]), dtype=complex)
-    for j in range(sub.shape[1]):
-        g = basis.scalar(sub[:, j])
-        dbz = suite.dbar_field(complex_contact(suite, g).as_hol_field())
-        defect[:, j] = g.coeffs - suite.combined_p_param(dbz).coeffs
-    _, sv, vt = np.linalg.svd(np.vstack([defect.real, defect.imag]))
-    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
-    null = vt[rank:].T
-    if null.shape[1] == 0:
+    if not cols:
         raise ValueError(
             f"no harmonic-free contact fields of degree <= {max_degree}; need degree >= 4")
-    out = sub @ null
-    _HARMONIC_FREE_CACHE[key] = out
-    return out
+    return np.array(cols).T
 
 
 @dataclass
@@ -447,7 +429,7 @@ _HARNESS_FIELD_SIZE = 5e-3
 _HARNESS_PHI_SIZE = 2e-3
 
 
-def _apriori_ratios(suite, result, mu_norms, s_values, order):
+def _apriori_ratios(result, mu_norms, s_values):
     rows = {}
     phi = result.phi
     for s in s_values:
@@ -503,7 +485,7 @@ def estimate_harness(suite: OperatorSuite, seeds, s_values=(1, 2, 3), degree=4,
         partial = solve(suite, solve_phi, tol=1e-15, max_iter=2, order=order,
                         steps=steps, require_convergence=False)
         mu_norms = {s: partial._chi.fs_norm(s + 2) for s in s_values}
-        apriori = _apriori_ratios(suite, partial, mu_norms, s_values, order)
+        apriori = _apriori_ratios(partial, mu_norms, s_values)
 
         for s in s_values:
             x_norm = {k: X.fs_norm(k) for k in (s - 1, s, s + 1)}

@@ -21,6 +21,17 @@ The tangential complex on fields, in components, is
 
 where the iℓ h term is the T-component of π₍₁,₀₎[Z̄, hZ] coming from the
 bracket [Z̄, Z] = iℓ T.
+
+On complex contact fields Z_f = (f, 2i Z̄f) the harmonic projector K = I − PB
+is the slot mask M = diag(q ≤ 1), K(Z_f) = Z_{Mf}:
+
+* ker B = {Z_f : Z̄²f = 0}, since h = 2i Z̄f solves Z̄f + iℓ h = 0 (ℓ = 1/2);
+* so ker B is spanned by the Z_{e_i} with q_i ≤ 1;
+* all Z_{e_i} are mutually orthogonal in the (1, ℓ) field metric, because Z̄
+  is 1-sparse and injective on slots, so K(Z_{e_i}) is Z_{e_i} or 0.
+
+The gauge projection and the harmonic-free generators of ``normal_form`` use
+M directly; ``k_harm`` stays the general operator.
 """
 
 from __future__ import annotations
@@ -157,6 +168,8 @@ class OperatorSuite:
         self.s_sc_matrix = eye - dzb @ self.p_sc_matrix
         # ker(Z̄) is exactly the CR (holomorphic-restriction) part of the basis
         self.szego_mask = (basis.bidegree_q == 0).astype(float)
+        # K on complex contact fields, see the module docstring
+        self.harmonic_mask = (basis.bidegree_q <= 1).astype(float)
         szego = sparse.diags_array(self.szego_mask)
         defect = abs(eye - self.p_sc_matrix @ dzb - szego).max()
         if defect > 1e-10:
@@ -186,12 +199,12 @@ class OperatorSuite:
         # Combined homotopy on deformation tensors. A complex contact field
         # Z_g packs as (g, 2i Z̄g); the parameter of the projection of a field
         # V = (f, h) onto complex contact fields is H f - flat-constant * P_sc h,
-        # and the harmonic (CR) part is removed so that ker(combined P)
+        # and the harmonic slots are masked out so that ker(combined P)
         # contains range(combined Q) exactly.
         self.z_pack_matrix = sparse.vstack([eye, 2j * dzb], format="csr")
         phat_param = sparse.hstack([szego, -self.lam_flat * self.p_sc_matrix], format="csr")
-        k_on_param = (self.k_harm_matrix @ self.z_pack_matrix)[:nb, :]
-        self.combined_p_param_matrix = (eye - k_on_param) @ phat_param @ self.p_vec_matrix
+        self.combined_p_param_matrix = (
+            sparse.diags_array(1.0 - self.harmonic_mask) @ phat_param @ self.p_vec_matrix)
         self.combined_q_matrix = eye2 - self.b_vec_matrix @ self.z_pack_matrix @ self.combined_p_param_matrix
 
     def combined_p_param(self, Phi: FieldForm01) -> SpectralScalar:

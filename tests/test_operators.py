@@ -10,7 +10,9 @@ over whole degree blocks.
 """
 
 import numpy as np
+import pytest
 
+from conftest import cached_suite
 from test_basis import frame_derivative_fd
 
 from crsphere import frame_derivative
@@ -166,6 +168,24 @@ def test_combined_homotopy_algebra(suite6):
     assert suite6.combined_q(exact).fs_norm(0) < 1e-10
     recon = suite6.combined_p_param(exact) + suite6.k_harm(Zc.as_hol_field()).f
     assert (recon - Zc.parameter).l2_norm() < 1e-10
+
+
+@pytest.mark.parametrize("degree", [4, 6, 8, 12])
+def test_k_harm_on_contact_fields_is_slot_mask(degree):
+    # the general K = I - PB on Z_f is Z_{Mf}, M = diag(q <= 1)
+    from crsphere.fields import complex_contact
+    suite = cached_suite(degree)
+    basis = suite.basis
+    mask = suite.harmonic_mask
+    rng = np.random.default_rng([32, degree])
+    for _ in range(3):
+        f = basis.random_scalar(rng)
+        got = suite.k_harm(complex_contact(suite, f).as_hol_field())
+        expect = complex_contact(suite, basis.scalar(mask * f.coeffs))
+        assert (got.f - expect.parameter).l2_norm() <= 1e-12 * f.l2_norm()
+        assert (got.h - expect.horizontal).l2_norm() <= 1e-12 * f.l2_norm()
+    k_on_param = (suite.k_harm_matrix @ suite.z_pack_matrix)[:basis.size].toarray()
+    assert np.abs(k_on_param - np.diag(mask)).max() <= 1e-13
 
 
 def _dense_blockwise_pinv(mat, blocks, dom_weight, cod_weight):
