@@ -2,7 +2,7 @@
 
 The one hot loop in the package is evaluating many monomial-coefficient
 columns at many points: a scalar at a flow's images (phi o F) and the flow's
-right hand side at every RK4 stage. Both reduce to
+right hand side at every Dormand-Prince stage. Both reduce to
 
     out[i, j] = sum_m z1[i]^a1[m] z2[i]^a2[m] conj(z1[i])^b1[m] conj(z2[i])^b2[m] C[m, j]
 

@@ -11,17 +11,18 @@ slice        solve phi and G*phi, compare (Y, psi), emit CSV
 Every output embeds the run configuration and the sha256 of any input file,
 and reruns with identical flags are byte-identical.
 
-Exit codes: 0 success, 2 iteration did not converge, 3 deformation left the
-parameterized neighbourhood (or was too large to start, also in ``gen``), 4
-stored coefficients belong to a different basis build, 5 a contact flow
-failed (field too large to flow, or no step count up to the cap passed the
-step-halving and contact checks), 6 an input file cannot be read, is not
-JSON, has the wrong ``type`` or ``kind``, lacks a required key or holds a
-malformed or non-finite (NaN, inf, overflowing) coefficient, or an output
-file cannot be written. Checks that fail in ``verify``/``slice`` exit 1.
-argparse keeps its usual 2 for bad flags, including a non-finite ``--tol``,
-``--eps`` or ``auto:<size>``, a size that is not positive, a negative
-``--seed`` and an ``--s`` outside 1 to 64.
+Exit codes: 0 success, 3 deformation left the parameterized neighbourhood
+(or was too large to start, also in ``gen``), 4 stored coefficients belong
+to a different basis build, 5 a contact flow failed (field too large to
+flow, or no step count up to the cap passed the flow error estimate and
+contact checks), 6 an input file cannot be read, is not JSON, has the wrong
+``type`` or ``kind``, lacks a required key or holds a malformed or
+non-finite (NaN, inf, overflowing) coefficient, or an output file cannot be
+written, 7 the iteration did not converge (``normal-form`` and ``slice``).
+Checks that fail in ``verify``/``slice`` exit 1. argparse's 2 is for bad
+flags only, including a non-finite ``--tol``, ``--eps`` or ``auto:<size>``,
+a size that is not positive, a negative ``--seed``, an ``--s`` outside 1 to
+64 and a ``--steps`` outside 1 to the flow step cap.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from .geometry import monomial_moment
 from .operators import FieldForm01, HolField, OperatorSuite
 
 EXIT_OK = 0
-EXIT_NO_CONVERGENCE = 2
 EXIT_NEIGHBOURHOOD = 3
 EXIT_BASIS_MISMATCH = 4
 EXIT_FLOW = 5
 EXIT_INPUT = 6
+EXIT_NO_CONVERGENCE = 7
 
 VERIFY_HEADER = ["check", "residual", "tol", "status"]
 SLICE_HEADER = ["quantity", "abs_diff", "rel_diff", "tol", "status"]
@@ -80,8 +81,8 @@ class RunConfig:
             raise ValueError("--max-iter must be at least 1")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("--eps must be positive and finite")
-        if not 2 <= self.steps <= MAX_FLOW_STEPS:
-            raise ValueError(f"--steps must be between 2 and {MAX_FLOW_STEPS}")
+        if not 1 <= self.steps <= MAX_FLOW_STEPS:
+            raise ValueError(f"--steps must be between 1 and {MAX_FLOW_STEPS}")
         if self.seed < 0:
             raise ValueError("--seed must be non-negative")
 
@@ -110,8 +111,9 @@ def _add_config_flags(parser):
     parser.add_argument("--eps", type=float, default=1e-2,
                         help="neighbourhood radius: inputs above this norm are rejected")
     parser.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS,
-                        help="RK4 steps per contact flow, checked against half as many "
-                             f"and doubled until they agree (default {DEFAULT_FLOW_STEPS})")
+                        help="Dormand-Prince 5(4) steps per contact flow, doubled until "
+                             "the embedded error estimate passes, 1 to "
+                             f"{MAX_FLOW_STEPS} (default {DEFAULT_FLOW_STEPS})")
     parser.add_argument("--seed", type=int, default=0,
                         help="non-negative seed for anything random (default 0)")
 

@@ -8,16 +8,20 @@ polynomial formulas; in ambient coordinates the velocity is
 which is tangent to every centered sphere (the radial derivative of |z|²
 vanishes identically), so re-projection after each integration step only
 removes integrator drift. The flow map and its differential are integrated
-together: positions by classical RK4, the differential by the variational
-equation dJ/dt = DX(z(t)) J with the conjugate rows of J reconstructed from
-J itself (F commutes with conjugation).
+together: positions by the Dormand–Prince 5(4) pair, the differential by the
+variational equation dJ/dt = DX(z(t)) J with the conjugate rows of J
+reconstructed from J itself (F commutes with conjugation).
 
-The step count certifies itself by step doubling (Hairer, Nørsett and
-Wanner, Solving ODEs I, §II.4): a flow is accepted only when its images and
-Jacobians agree with the flow at half as many steps to FLOW_TOL, and its
-contact ratio is within CONTACT_RATIO_TOL. The contact ratio alone cannot see
-phase error: RK4 on the Hopf rotation has a multiple of the identity as its
-Jacobian, so the ratio stays at roundoff whatever the step count.
+The step count certifies itself by the embedded estimate (Dormand and Prince,
+J. Comput. Appl. Math. 6, 1980; Hairer, Nørsett and Wanner, Solving ODEs I,
+§II.5): each step advances with the 5th-order solution, and one more stage at
+its end gives the 4th-order solution of the same step. The estimate of a flow
+is the sum over its steps of max |y5 − y4| on images and Jacobians, taken
+before the re-projection to S³. A flow is accepted only when its estimate is
+at most FLOW_TOL and its contact ratio is within CONTACT_RATIO_TOL. The
+contact ratio alone cannot see phase error: on the Hopf rotation the Jacobian
+is a multiple of the identity, so the ratio stays at roundoff whatever the
+step count.
 
 Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 
@@ -45,7 +49,7 @@ from .basis import Basis, SpectralScalar
 from .fields import ContactField
 from .operators import FieldForm01, OperatorSuite
 
-DEFAULT_FLOW_STEPS = 2
+DEFAULT_FLOW_STEPS = 1
 FLOW_TOL = 1e-12
 CONTACT_RATIO_TOL = 1e-8
 MAX_FLOW_STEPS = 4096
@@ -57,8 +61,8 @@ _MIN_ABS_A = 0.1
 
 
 class FlowError(RuntimeError):
-    """A field too large to flow, or no step count up to the cap that passes
-    the step-halving and contact checks."""
+    """A field too large to flow, or no step count up to the cap whose flow
+    error estimate and contact ratio pass."""
 
 
 class NeighbourhoodError(RuntimeError):
@@ -159,20 +163,52 @@ def _rhs(exps, cols, z, jac):
     return vel, dx @ _jac_full(jac)
 
 
-def _integrate(exps, cols, z0, jac0, steps):
-    """RK4 time-1 integration with per-step re-projection of positions to S³."""
-    z = z0.copy()
-    jac = jac0.copy()
-    dt = 1.0 / steps
-    for _ in range(steps):
-        v1, m1 = _rhs(exps, cols, z, jac)
-        v2, m2 = _rhs(exps, cols, z + 0.5 * dt * v1, jac + 0.5 * dt * m1)
-        v3, m3 = _rhs(exps, cols, z + 0.5 * dt * v2, jac + 0.5 * dt * m2)
-        v4, m4 = _rhs(exps, cols, z + dt * v3, jac + dt * m3)
-        z = z + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        jac = jac + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-        z /= np.sqrt(np.abs(z[:, :1]) ** 2 + np.abs(z[:, 1:]) ** 2)
+# Dormand–Prince 5(4) for an autonomous field (Solving ODEs I, Table II.5.2):
+# rows 2 to 6 of the stage matrix A; the 5th-order weights B over stages 1 to
+# 6, which are also row 7 of A, so the seventh stage is the field at the new
+# point; and E = B − B̂, the 5th- minus the 4th-order weights over all seven.
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _advance(z, jac, dt, weights, stages):
+    """z + dt Σ wᵢ vᵢ and jac + dt Σ wᵢ mᵢ over the stages (vᵢ, mᵢ)."""
+    for w, (v, m) in zip(weights, stages):
+        if w:
+            z = z + (dt * w) * v
+            jac = jac + (dt * w) * m
     return z, jac
+
+
+def _integrate(exps, cols, z0, jac0, steps, estimate=False):
+    """Time-1 DOPRI5 integration with per-step re-projection of positions to S³.
+
+    Returns the images, the Jacobians and, with ``estimate``, the error
+    estimate: the sum over steps of max |y5 − y4| on images and Jacobians,
+    before re-projection (7 RHS calls a step). Without it the seventh stage
+    is skipped (6 calls a step) and the estimate is None.
+    """
+    z, jac = z0, jac0
+    dt = 1.0 / steps
+    total = 0.0 if estimate else None
+    for _ in range(steps):
+        stages = [_rhs(exps, cols, z, jac)]
+        for row in _DP_A:
+            stages.append(_rhs(exps, cols, *_advance(z, jac, dt, row, stages)))
+        z, jac = _advance(z, jac, dt, _DP_B, stages)
+        if estimate:
+            stages.append(_rhs(exps, cols, z, jac))
+            dz, djac = _advance(0.0, 0.0, dt, _DP_E, stages)
+            total += max(float(np.abs(dz).max()), float(np.abs(djac).max()))
+        z /= np.sqrt(np.abs(z[:, :1]) ** 2 + np.abs(z[:, 1:]) ** 2)
+    return z, jac, total
 
 
 def _frame_maps(basis: Basis, start_z, images, jac):
@@ -200,7 +236,12 @@ def _contact_ratio(maps):
 
 @dataclass
 class ContactDiffeo:
-    """Time-1 flow data at the quadrature nodes of a basis."""
+    """Time-1 flow data at the quadrature nodes of a basis.
+
+    ``rhs_evals`` counts the right-hand-side evaluations that produced the
+    map, rejected step counts included; ``error_estimate`` is the embedded
+    estimate of the accepted flow. Both are 0 for the identity.
+    """
 
     basis: Basis
     generator: ContactField | None
@@ -210,13 +251,15 @@ class ContactDiffeo:
     frame_maps: np.ndarray = field(repr=False)  # (n, 3, 3), see _frame_maps
     contact_ratio: float = 0.0
     is_identity: bool = False
+    rhs_evals: int = 0
+    error_estimate: float = 0.0
 
     @staticmethod
     def identity(basis: Basis) -> "ContactDiffeo":
         """The identity at the nodes: (T, Z, Z̄) is dual to (η, ω, ω̄), so
         the frame maps are exactly the 3×3 identity and the ratio is 0. The
         Jacobians and frame maps are read-only broadcasts, not per-node
-        arrays; ``_integrate`` copies before it steps."""
+        arrays; ``_integrate`` never writes to its inputs."""
         nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
         jac = np.broadcast_to(np.eye(2, 4, dtype=complex), (len(nodes), 2, 4))
         maps = np.broadcast_to(np.eye(3, dtype=complex), (len(nodes), 3, 3))
@@ -230,17 +273,16 @@ class ContactDiffeo:
 def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     """Time-1 contact flow of X from the quadrature nodes.
 
-    Integrates at ``steps`` and at ``steps // 2`` RK4 steps and accepts the
-    finer flow when the two differ by at most FLOW_TOL in images and
-    Jacobians and its contact ratio is at most CONTACT_RATIO_TOL. Otherwise
-    the step count doubles, reusing the finer flow as the coarse one, up to
+    Integrates ``steps`` DOPRI5 steps and accepts the flow when its embedded
+    error estimate is at most FLOW_TOL and its contact ratio is at most
+    CONTACT_RATIO_TOL. Otherwise the step count doubles, up to
     MAX_FLOW_STEPS; past that it raises FlowError. The returned ``steps`` is
     the accepted count, so it exceeds the requested one only after a doubling.
     A field whose order-FLOW_NORM_ORDER norm exceeds FLOW_NORM_CAP raises
     FlowError.
     """
-    if steps < 2:
-        raise ValueError(f"flow needs at least 2 steps to check itself, got {steps}")
+    if steps < 1:
+        raise ValueError(f"flow needs at least 1 step, got {steps}")
     basis = X.basis
     size = X.generating.l2_norm() + X.horizontal.l2_norm()
     if size < _IDENTITY_CUTOFF:
@@ -254,28 +296,30 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     nodes, jac0 = start.images, start.jacobians
 
     n_steps = steps
-    coarse_images, coarse_jac = _integrate(exps, cols, nodes, jac0, n_steps // 2)
+    rhs_evals = 0
     while True:
-        images, jac = _integrate(exps, cols, nodes, jac0, n_steps)
-        gap = max(float(np.abs(images - coarse_images).max()),
-                  float(np.abs(jac - coarse_jac).max()))
+        images, jac, estimate = _integrate(exps, cols, nodes, jac0, n_steps, estimate=True)
+        rhs_evals += 7 * n_steps
         maps = _frame_maps(basis, nodes, images, jac)
         ratio = _contact_ratio(maps)
-        if gap <= FLOW_TOL and ratio <= CONTACT_RATIO_TOL:
-            return ContactDiffeo(basis, X, n_steps, images, jac, maps, ratio)
+        if estimate <= FLOW_TOL and ratio <= CONTACT_RATIO_TOL:
+            return ContactDiffeo(basis, X, n_steps, images, jac, maps, ratio,
+                                 rhs_evals=rhs_evals, error_estimate=estimate)
         if 2 * n_steps > MAX_FLOW_STEPS:
             raise FlowError(
-                f"step-halving difference {gap:.2e} (tol {FLOW_TOL:g}) and contact ratio "
+                f"flow error estimate {estimate:.2e} (tol {FLOW_TOL:g}) and contact ratio "
                 f"{ratio:.2e} (tol {CONTACT_RATIO_TOL:g}) at {n_steps} steps"
             )
-        coarse_images, coarse_jac = images, jac
         n_steps *= 2
 
 
 def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
     """The diffeomorphism outer ∘ inner, by transporting inner's data along
-    outer's flow. The outer map must be the identity or a flow: a composite
-    has no generator to integrate."""
+    outer's flow with outer's step count and no estimate stage. The outer map
+    must be the identity or a flow: a composite has no generator to
+    integrate. ``rhs_evals`` adds the transport's 6 per step to inner's. The
+    transport runs at outer's accepted step count, so outer's estimate from
+    the nodes stands in for it: the estimate is the sum of the two."""
     if outer.is_identity:
         return replace(inner, generator=None)
     if outer.generator is None:
@@ -283,10 +327,12 @@ def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
     basis = inner.basis
     nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
     exps, cols = _flow_columns(outer.generator)
-    images, jac = _integrate(exps, cols, inner.images, inner.jacobians, outer.steps)
+    images, jac, _ = _integrate(exps, cols, inner.images, inner.jacobians, outer.steps)
     maps = _frame_maps(basis, nodes, images, jac)
     return ContactDiffeo(basis, None, max(outer.steps, inner.steps),
-                         images, jac, maps, _contact_ratio(maps))
+                         images, jac, maps, _contact_ratio(maps),
+                         rhs_evals=inner.rhs_evals + 6 * outer.steps,
+                         error_estimate=inner.error_estimate + outer.error_estimate)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,8 @@ def result_to_json(result, config=None, input_sha256=None):
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "flow_steps": int(result.flow_steps),
+        "flow_rhs_evals": int(result.flow_rhs_evals),
+        "max_flow_error_estimate": float(result.max_flow_error_estimate),
         "x_generating": scalar_to_json(result.x.generating),
         "y_parameter": scalar_to_json(result.y.parameter),
         "y_certificate": float(result.y.certificate),

@@ -82,6 +82,8 @@ class NormalFormResult:
     tol: float
     steps: int
     flow_steps: int
+    flow_rhs_evals: int             # over every flow of the solve
+    max_flow_error_estimate: float  # the worst accepted flow's estimate
     _chi: SpectralScalar = field(repr=False, default=None)
     _xi: HolField = field(repr=False, default=None)
 
@@ -149,11 +151,15 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
     converged = False
     chi = xi = None
     flow_steps = steps
+    flow_rhs_evals = 0
+    max_flow_estimate = 0.0
     for it in range(max_iter + 1):
         chi, xi, mu, F = _residual_state(suite, phi, g, y, psi, steps)
         chi_norm = chi.fs_norm(order)
         xi_norm = xi.fs_norm(order)
         flow_steps = max(flow_steps, F.steps)
+        flow_rhs_evals += F.rhs_evals
+        max_flow_estimate = max(max_flow_estimate, F.error_estimate)
         history.append({
             "iter": it,
             "chi_norm": chi_norm,
@@ -184,6 +190,7 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
     y_field = VField(complex_contact(suite, y), cert)
     return NormalFormResult(suite, phi, x_field, y_field, DeformationTensor(psi),
                             history, converged, order, tol, steps, flow_steps,
+                            flow_rhs_evals, max_flow_estimate,
                             _chi=chi, _xi=xi)
 
 

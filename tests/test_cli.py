@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from crsphere import io
-from crsphere.cli import EXIT_FLOW, EXIT_INPUT, main
+from crsphere.cli import EXIT_FLOW, EXIT_INPUT, EXIT_NO_CONVERGENCE, main
 from crsphere.flow import MAX_FLOW_STEPS
 
 
@@ -85,12 +85,17 @@ def test_exit_code_basis_mismatch(tmp_path):
 def test_exit_code_non_convergence(tmp_path):
     phi = tmp_path / "phi.json"
     run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "1", "--out", phi)
-    code = run_cli("normal-form", "--degree", "4", "--max-iter", "1",
-                   "--tol", "1e-15", "--in", phi, "--out", tmp_path / "r.json")
-    assert code == 2
+    out = run_cli_subprocess("normal-form", "--degree", "4", "--max-iter", "1",
+                             "--tol", "1e-15", "--in", phi, "--out", tmp_path / "r.json")
+    # its own code: argparse exits 2 for a bad flag
+    assert EXIT_NO_CONVERGENCE == 7
+    assert_one_line_error(out, EXIT_NO_CONVERGENCE)
     obj = json.loads((tmp_path / "r.json").read_text())
     assert obj["type"] == "normal_form_failure"
     assert len(obj["history"]) == 2
+    out = run_cli_subprocess("slice", "--degree", "4", "--max-iter", "1", "--tol", "1e-15",
+                             "--in", phi, "--generator", "auto")
+    assert_one_line_error(out, EXIT_NO_CONVERGENCE)
 
 
 def test_exit_code_oversized_input(tmp_path):
@@ -230,12 +235,12 @@ def test_exit_code_unwritable_out(tmp_path):
     assert_one_line_error(out, EXIT_INPUT)
 
 
-@pytest.mark.parametrize("steps", [1, MAX_FLOW_STEPS + 1])
+@pytest.mark.parametrize("steps", [0, MAX_FLOW_STEPS + 1])
 def test_config_validation_rejects_steps_out_of_range(steps, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--degree", "4", "--steps", str(steps)])
     assert exc.value.code == 2
-    assert "--steps must be between 2 and" in capsys.readouterr().err
+    assert f"--steps must be between 1 and {MAX_FLOW_STEPS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from crsphere.fields import complex_contact_norm, contact_from_generating
-from crsphere.flow import (DEFAULT_FLOW_STEPS, ContactDiffeo, DeformationTensor,
-                           FlowError, NeighbourhoodError, _frame_maps, compose,
-                           e_remainder, flow, pullback_deformation, pullback_scalar)
-from crsphere.normal_form import random_deformation
+from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TOL, ContactDiffeo, DeformationTensor,
+                           FlowError, NeighbourhoodError, _flow_columns, _frame_maps, _rhs,
+                           compose, e_remainder, flow, pullback_deformation,
+                           pullback_scalar)
+from crsphere.normal_form import random_deformation, solve
 
 from conftest import cached_basis, cached_suite
 
@@ -27,6 +28,7 @@ def test_identity_flow(suite6):
     assert np.max(np.abs(F.images[:, 0] - z1)) == 0.0
     assert np.max(np.abs(F.images[:, 1] - z2)) == 0.0
     assert F.is_identity and F.contact_ratio == 0.0
+    assert F.rhs_evals == 0 and F.error_estimate == 0.0
     assert not flow(small_field(suite6, 77, 2e-3)).is_identity
 
 
@@ -43,19 +45,20 @@ def test_hopf_flow_closed_form(suite6):
     assert F.contact_ratio < 1e-10
 
 
-def test_step_halving_check_catches_phase_error(suite6):
-    # RK4 on the Hopf rotation has a multiple of the identity as Jacobian, so
-    # the contact ratio stays at roundoff while 2 steps are about 4e-5 off;
-    # only the comparison with half as many steps forces the doublings
+def test_error_estimate_catches_phase_error(suite6):
+    # on the Hopf rotation the Jacobian is a multiple of the identity, so the
+    # contact ratio stays at roundoff while 1 step is far off; only the
+    # embedded estimate forces the doublings
     c = 0.3
     X = contact_from_generating(suite6, suite6.basis.constant(c))
-    F = flow(X, steps=2)
-    assert F.steps > 2
+    F = flow(X)
+    assert F.steps > 1
+    assert F.error_estimate <= FLOW_TOL
     z1, z2 = suite6.basis.grid.z1, suite6.basis.grid.z2
     phase = np.exp(2j * c)
     err = max(np.max(np.abs(F.images[:, 0] - phase * z1)),
               np.max(np.abs(F.images[:, 1] - phase * z2)))
-    assert err < 1e-10
+    assert err < 1e-14
 
 
 def test_flow_error_at_step_cap_names_both_checks(suite6, monkeypatch):
@@ -63,8 +66,8 @@ def test_flow_error_at_step_cap_names_both_checks(suite6, monkeypatch):
     flow_mod = importlib.import_module("crsphere.flow")
     monkeypatch.setattr(flow_mod, "MAX_FLOW_STEPS", 4)
     X = contact_from_generating(suite6, suite6.basis.constant(0.3))
-    with pytest.raises(FlowError, match="step-halving difference .* contact ratio .* at 4 steps"):
-        flow(X, steps=2)
+    with pytest.raises(FlowError, match="flow error estimate .* contact ratio .* at 4 steps"):
+        flow(X)
 
 
 def test_small_field_accepted_at_default_steps(suite6):
@@ -76,9 +79,86 @@ def test_small_field_accepted_at_default_steps(suite6):
     assert np.max(np.abs(F.jacobians - ref.jacobians)) < 1e-12
 
 
-def test_flow_rejects_fewer_than_two_steps(suite6):
+def test_flow_rejects_zero_steps(suite6):
     with pytest.raises(ValueError):
-        flow(small_field(suite6, 73, 2e-3), steps=1)
+        flow(small_field(suite6, 73, 2e-3), steps=0)
+
+
+def _rk4_integrate(exps, cols, z0, jac0, steps):
+    """Classical RK4 time-1 integration with per-step re-projection to S³."""
+    z = z0.copy()
+    jac = jac0.copy()
+    dt = 1.0 / steps
+    for _ in range(steps):
+        v1, m1 = _rhs(exps, cols, z, jac)
+        v2, m2 = _rhs(exps, cols, z + 0.5 * dt * v1, jac + 0.5 * dt * m1)
+        v3, m3 = _rhs(exps, cols, z + 0.5 * dt * v2, jac + 0.5 * dt * m2)
+        v4, m4 = _rhs(exps, cols, z + dt * v3, jac + dt * m3)
+        z = z + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        jac = jac + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        z /= np.sqrt(np.abs(z[:, :1]) ** 2 + np.abs(z[:, 1:]) ** 2)
+    return z, jac
+
+
+def _rk4_oracle(X, steps, every):
+    """The oracle flow: RK4 images and Jacobians of X at ``steps`` steps from
+    every ``every``-th node (the flow moves each node on its own), and their
+    step-halving gap to the flow at ``steps // 2``."""
+    exps, cols = _flow_columns(X)
+    start = ContactDiffeo.identity(X.basis)
+    z0, jac0 = start.images[::every], start.jacobians[::every]
+    fine = _rk4_integrate(exps, cols, z0, jac0, steps)
+    coarse = _rk4_integrate(exps, cols, z0, jac0, steps // 2)
+    gap = max(float(np.abs(f - c).max()) for f, c in zip(fine, coarse))
+    return fine[0], fine[1], gap
+
+
+def _solver_field(degree):
+    suite = cached_suite(degree)
+    phi = random_deformation(suite.basis, np.random.default_rng(90 + degree), 5e-3)
+    return solve(suite, phi).x
+
+
+@pytest.mark.parametrize("make_field", [
+    lambda: _solver_field(6),
+    lambda: _solver_field(8),
+    lambda: small_field(cached_suite(6), 74, 0.2, max_degree=3),
+], ids=["solver-n6", "solver-n8", "large-n6"])
+def test_default_flow_matches_rk4_oracle(make_field):
+    # the contact field of a converged solve is the one a default flow moves
+    # by in the solver's last iterations; it is small, so the large field
+    # (still accepted at 1 step) is the one that sees a wrong stage entry.
+    # The oracle follows one node in 13, a stride coprime to the radial and
+    # torus sizes of the grid
+    X = make_field()
+    F = flow(X)
+    assert F.steps == DEFAULT_FLOW_STEPS and F.error_estimate <= FLOW_TOL
+    every = 13
+    images, jac, gap = _rk4_oracle(X, 256, every)
+    assert gap < 1e-12
+    assert np.abs(F.images[::every] - images).max() < 1e-12
+    assert np.abs(F.jacobians[::every] - jac).max() < 1e-12
+
+
+def test_flow_rhs_evaluation_counts(suite6, monkeypatch):
+    # a perf guard: a default moving flow makes its 7 stages and no second
+    # integration, and the solver's counter is the number of calls it made
+    import importlib
+    flow_mod = importlib.import_module("crsphere.flow")
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _rhs(*args)
+
+    monkeypatch.setattr(flow_mod, "_rhs", counted)
+    F = flow(small_field(suite6, 72, 2e-3))
+    assert len(calls) == F.rhs_evals == 7
+    calls.clear()
+    phi = random_deformation(suite6.basis, np.random.default_rng(82), 5e-3)
+    result = solve(suite6, phi)
+    assert result.flow_rhs_evals == len(calls) == 7 * (result.iterations - 1)
+    assert 0.0 < result.max_flow_error_estimate <= FLOW_TOL
 
 
 def test_flow_stays_on_sphere(suite6):
@@ -264,6 +344,7 @@ def test_compose_tracks_generator_none(suite6):
     G = compose(F, F)
     assert G.generator is None
     assert G.steps == F.steps
+    assert G.rhs_evals == F.rhs_evals + 6 * F.steps
     assert not G.is_identity
 
 

@@ -122,6 +122,8 @@ def test_result_serialization_is_json_clean(suite6):
     assert parsed["converged"] is True
     assert parsed["residuals"]["defining"] < 1e-10
     assert len(parsed["history"]) == parsed["iterations"]
+    assert parsed["flow_rhs_evals"] == result.flow_rhs_evals > 0
+    assert parsed["max_flow_error_estimate"] == result.max_flow_error_estimate
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
