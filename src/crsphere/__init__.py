@@ -46,7 +46,8 @@ from .operators import FieldForm01, HolField, OperatorSuite, ScalarForm01
 
 __version__ = "0.1.0"
 
-# the one polynomial evaluation kernel, crsphere._core.eval_poly
+# the polynomial evaluation kernels, crsphere._core.eval_bilinear (scalars at
+# points) and crsphere._core.eval_poly (the flow right-hand side)
 kernel_implementation = "numpy"
 
 __all__ = [

@@ -187,10 +187,9 @@ class Basis:
 
         ``column_matrix`` has shape (size, k); returns (n_points, k).
         """
-        mono = self.coeffs @ np.asarray(column_matrix, dtype=complex)
-        return _core.eval_poly(np.asarray(z1, dtype=complex).ravel(),
-                               np.asarray(z2, dtype=complex).ravel(),
-                               self.exponents, np.ascontiguousarray(mono))
+        return _core.eval_bilinear(np.asarray(z1, dtype=complex).ravel(),
+                                   np.asarray(z2, dtype=complex).ravel(),
+                                   self.exponents, self.monomial_coefficients(column_matrix))
 
     def synthesize(self, coeffs):
         """Values at the quadrature nodes of the coefficient vector ``coeffs``:
@@ -223,7 +222,11 @@ class Basis:
         return SpectralScalar(self, coeffs, meta={"truncation_mass": mass})
 
     def monomial_coefficients(self, coeffs):
-        return self.coeffs @ coeffs
+        """Monomial coefficients of basis-coefficient vectors or columns. The
+        real ``coeffs`` multiplies the real and imaginary parts apart: a
+        complex product would copy it to complex on every call."""
+        c = np.asarray(coeffs)
+        return self.coeffs @ c.real + 1j * (self.coeffs @ c.imag)
 
     # -- scalars ----------------------------------------------------------
 

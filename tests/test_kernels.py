@@ -1,9 +1,12 @@
-"""Polynomial evaluation kernel against a direct monomial sum."""
+"""Polynomial evaluation kernels against a direct monomial sum."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import crsphere
+from conftest import cached_basis
 from crsphere import _core
 
 
@@ -34,24 +37,70 @@ def direct_sum(z1, z2, exps, cc):
     return out
 
 
-@pytest.mark.parametrize("case,tol,relative", [
+CASES = [
     pytest.param(lambda: random_case(np.random.default_rng(13), 11, 9, 4, 5),
                  1e-12, False, id="small"),
     pytest.param(lambda: random_case(np.random.default_rng(1001), 1, 1, 1, 0),
                  1e-11, False, id="constant"),
-    # 3000 points: two blocks of _core._BLOCK = 2048
-    pytest.param(lambda: random_case(np.random.default_rng(3000200), 3000, 200, 5, 12),
+    # one and a half blocks, so a full block and a partial one
+    pytest.param(lambda: random_case(np.random.default_rng(3000200), 3 * _core._BLOCK // 2,
+                                     200, 5, 12),
                  1e-11, False, id="crosses-block"),
     pytest.param(lambda: off_sphere_case(np.random.default_rng(12)),
                  1e-12, True, id="off-sphere"),
-])
-def test_numpy_kernel_against_direct_sum(case, tol, relative):
+    # the flow right-hand side's width, with repeated exponent rows
+    pytest.param(lambda: random_case(np.random.default_rng(10), 40, 60, 10, 3),
+                 1e-12, False, id="ten-columns"),
+]
+
+
+def check_against_direct_sum(kernel, case, tol, relative):
     z1, z2, exps, cc = case()
-    got = _core.eval_poly(z1, z2, exps, cc)
+    got = kernel(z1, z2, exps, cc)
     expect = direct_sum(z1, z2, exps, cc)
     assert got.shape == expect.shape
     scale = max(1.0, np.max(np.abs(expect))) if relative else 1.0
     assert np.max(np.abs(got - expect)) / scale < tol
+
+
+@pytest.mark.parametrize("case,tol,relative", CASES)
+def test_numpy_kernel_against_direct_sum(case, tol, relative):
+    check_against_direct_sum(_core.eval_poly, case, tol, relative)
+
+
+@pytest.mark.parametrize("case,tol,relative", CASES)
+def test_bilinear_kernel_against_direct_sum(case, tol, relative):
+    check_against_direct_sum(_core.eval_bilinear, case, tol, relative)
+
+
+def test_eval_columns_matches_design_route():
+    # the whole N = 12 basis, three columns, at points off the grid nodes:
+    # the bilinear form against the monomial design on the same coefficients
+    basis = cached_basis(12)
+    rng = np.random.default_rng(1212)
+    w = rng.standard_normal((500, 4))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    z1, z2 = w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3]
+    c = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
+    got = basis.eval_columns(z1, z2, c)
+    expect = _core.eval_poly(z1, z2, basis.exponents, basis.coeffs @ c)
+    assert np.max(np.abs(got - expect)) / np.max(np.abs(expect)) < 1e-12
+
+
+def test_eval_columns_memory_peak():
+    # one column at N = 12 on the grid nodes; the bound is below a monomial
+    # design of one 256-point block (1820 rows, 7.5 MB) and below a complex
+    # copy of Basis.coeffs (23.8 MB)
+    basis = cached_basis(12)
+    c = np.random.default_rng(7).standard_normal((basis.size, 1)) + 0j
+    z1, z2 = basis.grid.z1, basis.grid.z2
+    tracemalloc.start()
+    try:
+        basis.eval_columns(z1, z2, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_kernel_implementation_is_numpy():

@@ -59,33 +59,40 @@ def test_pullback_of_zero_evaluates_no_polynomial(suite6, monkeypatch):
     assert inst.phi.fs_norm(6) > 0
 
 
+KERNELS = ("eval_poly", "eval_bilinear")
+
+
 def test_prefab_solve_evaluates_no_polynomial(suite6, monkeypatch):
     # the exact answer has X = 0, so every flow is the identity and every
     # φ∘F is an FFT synthesis
     def refuse(*args):
         raise AssertionError("a prefab solve evaluated a polynomial")
 
-    monkeypatch.setattr(_core, "eval_poly", refuse)
+    for name in KERNELS:
+        monkeypatch.setattr(_core, name, refuse)
     inst = nf.prefab_normal_form(suite6, np.random.default_rng(83))
     result = nf.solve(suite6, inst.phi)
     assert result.converged and result.iterations >= 2
 
 
 def test_random_solve_first_iteration_evaluates_no_polynomial(suite6, monkeypatch):
-    # iteration 0 runs at X = 0; the later ones flow a real field
-    calls = []
-    eval_poly = _core.eval_poly
+    # iteration 0 runs at X = 0; the later ones flow a real field and
+    # evaluate φ at its images
+    calls = {name: 0 for name in KERNELS}
 
-    def counted(*args):
-        calls.append(args)
-        return eval_poly(*args)
+    def counted(name, kernel):
+        def wrapped(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapped
 
-    monkeypatch.setattr(_core, "eval_poly", counted)
+    for name in KERNELS:
+        monkeypatch.setattr(_core, name, counted(name, getattr(_core, name)))
     phi = nf.random_deformation(suite6.basis, np.random.default_rng(84), 2e-3)
     first = nf.solve(suite6, phi, max_iter=0, require_convergence=False)
-    assert len(first.history) == 1 and calls == []
+    assert len(first.history) == 1 and calls == {name: 0 for name in KERNELS}
     nf.solve(suite6, phi, max_iter=1, require_convergence=False)
-    assert len(calls) > 0
+    assert all(count > 0 for count in calls.values())
 
 
 def test_solver_certificates(suite8):
