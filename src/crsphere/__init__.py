@@ -2,7 +2,7 @@
 
 Truncated polynomial model of the standard CR structure: frame derivatives,
 tangential Cauchy-Riemann complexes on scalars and contact fields, homotopy
-inverses, contact flows with transported Jacobians, and the normal-form
+inverses, contact flows with transported frame vectors, and the normal-form
 solver that conjugates a deformed structure to ``i dbar Y + psi``.
 """
 

@@ -16,11 +16,13 @@ under the same contract; they differ in how they form the sum.
   and one product with M (_BLOCK × pairs·k), 0.4 MB each at N = 12 and
   k = 1; no monomial design is built.
 * ``eval_poly`` serves the flow right-hand side (``flow._rhs``): 10 columns
-  on the 33–819 monomial rows that the field keeps. There one BLAS product
-  of the monomial design (rows × _BLOCK) with the columns beat the bilinear
-  form 1.6–3.3× (N = 8, 285 and 33 rows), whose product with M is 10
-  columns wide. The design and one indexed factor are its per-block
-  temporaries, 1.2 MB each at 285 rows.
+  (g, h and their four ambient derivatives) on the 33–819 monomial rows that
+  the field keeps, at the images in the flow state; ``_rhs`` takes the result
+  as 10 rows and pairs the derivative rows with the pushed frame vectors.
+  There one BLAS product of the monomial design (rows × _BLOCK) with the
+  columns beat the bilinear form 1.6–3.3× (N = 8, 285 and 33 rows), whose
+  product with M is 10 columns wide. The design and one indexed factor are
+  its per-block temporaries, 1.2 MB each at 285 rows.
 
 Points go in blocks of _BLOCK, so the temporaries stay cache-sized. With
 2048-point blocks a 285-row design was 9 MB, above glibc's mmap threshold

@@ -7,21 +7,26 @@ polynomial formulas; in ambient coordinates the velocity is
 
 which is tangent to every centered sphere (the radial derivative of |z|²
 vanishes identically), so re-projection after each integration step only
-removes integrator drift. The flow map and its differential are integrated
-together: positions by the Dormand–Prince 5(4) pair, the differential by the
-variational equation dJ/dt = DX(z(t)) J with the conjugate rows of J
-reconstructed from J itself (F commutes with conjugation).
+removes integrator drift. The pullbacks need dF only on the frame, so the
+flow carries the pushed vectors dF·T, dF·Z and dF·Z̄. A pushed vector f, with
+components (f₁, f₂, f₃, f₄) over (z₁, z₂, z̄₁, z̄₂), obeys the variational
+equation, whose dz-components are
 
-The step count certifies itself by the embedded estimate (Dormand and Prince,
+    ḟ = 2i (dg·f) z + 2i g (f₁, f₂) + (dh·f)(z̄₂, −z̄₁) + h (f₄, −f₃).
+
+F commutes with conjugation, T is real and Z̄ = conj(Z), so the dz̄-components
+of dF·T, dF·Z and dF·Z̄ are the conjugated dz-components of dF·T, dF·Z̄ and
+dF·Z. The state is one (8, n) array (``ContactDiffeo``), and every
+right-hand-side operation is a broadcast over its contiguous rows.
+
+The state advances by the Dormand–Prince 5(4) pair (Dormand and Prince,
 J. Comput. Appl. Math. 6, 1980; Hairer, Nørsett and Wanner, Solving ODEs I,
-§II.5): each step advances with the 5th-order solution, and one more stage at
-its end gives the 4th-order solution of the same step. The estimate of a flow
-is the sum over its steps of max |y5 − y4| on images and Jacobians, taken
-before the re-projection to S³. A flow is accepted only when its estimate is
-at most FLOW_TOL and its contact ratio is within CONTACT_RATIO_TOL. The
-contact ratio alone cannot see phase error: on the Hopf rotation the Jacobian
-is a multiple of the identity, so the ratio stays at roundoff whatever the
-step count.
+§II.5), whose embedded 4th-order solution certifies the step count: a flow is
+accepted when the sum over its steps of max |y5 − y4| over the state, taken
+before the re-projection to S³, is at most FLOW_TOL and its contact ratio is
+within CONTACT_RATIO_TOL. The ratio alone cannot see phase error: the Hopf
+rotation pushes each frame vector to a unimodular multiple of the frame at
+the image, so the ratio stays at roundoff whatever the step count.
 
 Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 
@@ -61,8 +66,8 @@ _MIN_ABS_A = 0.1
 
 
 class FlowError(RuntimeError):
-    """A field too large to flow, or no step count up to the cap whose flow
-    error estimate and contact ratio pass."""
+    """A field too large (or not finite) to flow, or no step count up to the
+    cap whose flow error estimate and contact ratio pass."""
 
 
 class NeighbourhoodError(RuntimeError):
@@ -136,31 +141,35 @@ def _flow_columns(X: ContactField):
     return np.ascontiguousarray(exps), np.ascontiguousarray(cols)
 
 
-def _jac_full(jac):
-    return np.concatenate([jac, np.conj(jac[:, :, [2, 3, 0, 1]])], axis=1)
+def _start_state(basis: Basis):
+    """The identity's state: the nodes, then the dz-components of T, Z, Z̄."""
+    z1, z2 = basis.grid.z1, basis.grid.z2
+    frame = basis.geometry.frame_vectors(z1, z2)
+    return np.concatenate([np.stack([z1, z2])] + [vec[:, :2].T for vec in frame])
 
 
-def _rhs(exps, cols, z, jac):
-    """Velocity and Jacobian derivative at positions z (n, 2), jac (n, 2, 4)."""
-    z1, z2 = z[:, 0], z[:, 1]
-    w = _core.eval_poly(z1, z2, exps, cols)
-    g, h = w[:, 0], w[:, 1]
-    dg, dh = w[:, 2:6], w[:, 6:10]
-    zb1, zb2 = np.conj(z1), np.conj(z2)
+# for dF·T, dF·Z and dF·Z̄: the state row of the dz-pair, and of the pair
+# whose conjugates are the dz̄-pair
+_PUSHED = ((2, 2), (4, 6), (6, 4))
 
-    vel = np.empty_like(z)
-    vel[:, 0] = 2j * g * z1 + h * zb2
-    vel[:, 1] = 2j * g * z2 - h * zb1
 
-    dx = np.empty((z.shape[0], 2, 4), dtype=complex)
-    dx[:, 0, :] = 2j * z1[:, None] * dg + zb2[:, None] * dh
-    dx[:, 0, 0] += 2j * g
-    dx[:, 0, 3] += h
-    dx[:, 1, :] = 2j * z2[:, None] * dg - zb1[:, None] * dh
-    dx[:, 1, 1] += 2j * g
-    dx[:, 1, 2] -= h
-
-    return vel, dx @ _jac_full(jac)
+def _rhs(exps, cols, y):
+    """dy at the state y (8, n): the velocity at the images, then dv of each
+    pushed vector; columns 2–5 and 6–9 of the kernel are dg and dh."""
+    w = np.ascontiguousarray(_core.eval_poly(y[0], y[1], exps, cols).T)
+    yb = np.conj(y)
+    g2, h = 2j * w[0], w[1]
+    iz1, iz2, zb1, zb2 = 2j * y[0], 2j * y[1], yb[0], yb[1]
+    dy = np.empty_like(y)
+    dy[0] = g2 * y[0] + h * zb2
+    dy[1] = g2 * y[1] - h * zb1
+    for k, b in _PUSHED:
+        f1, f2, f3, f4 = y[k], y[k + 1], yb[b], yb[b + 1]
+        dg = w[2] * f1 + w[3] * f2 + w[4] * f3 + w[5] * f4
+        dh = w[6] * f1 + w[7] * f2 + w[8] * f3 + w[9] * f4
+        dy[k] = iz1 * dg + zb2 * dh + g2 * f1 + h * f4
+        dy[k + 1] = iz2 * dg - zb1 * dh + g2 * f2 - h * f3
+    return dy
 
 
 # Dormand–Prince 5(4) for an autonomous field (Solving ODEs I, Table II.5.2):
@@ -178,49 +187,41 @@ _DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _advance(z, jac, dt, weights, stages):
-    """z + dt Σ wᵢ vᵢ and jac + dt Σ wᵢ mᵢ over the stages (vᵢ, mᵢ)."""
-    for w, (v, m) in zip(weights, stages):
+def _advance(y, dt, weights, stages):
+    """y + dt Σ wᵢ kᵢ over the stages kᵢ."""
+    for w, k in zip(weights, stages):
         if w:
-            z = z + (dt * w) * v
-            jac = jac + (dt * w) * m
-    return z, jac
+            y = y + (dt * w) * k
+    return y
 
 
-def _integrate(exps, cols, z0, jac0, steps, estimate=False):
-    """Time-1 DOPRI5 integration with per-step re-projection of positions to S³.
-
-    Returns the images, the Jacobians and, with ``estimate``, the error
-    estimate: the sum over steps of max |y5 − y4| on images and Jacobians,
-    before re-projection (7 RHS calls a step). Without it the seventh stage
-    is skipped (6 calls a step) and the estimate is None.
-    """
-    z, jac = z0, jac0
+def _integrate(exps, cols, y, steps, estimate=False):
+    """Time-1 DOPRI5 integration of the state, re-projecting the images to
+    S³ after each step. Returns the state and, with ``estimate``, the sum
+    over steps of max |y5 − y4| over the state before re-projection (7 RHS
+    calls a step); without it the seventh stage is skipped (6 calls a step)
+    and the estimate is None."""
     dt = 1.0 / steps
     total = 0.0 if estimate else None
     for _ in range(steps):
-        stages = [_rhs(exps, cols, z, jac)]
+        stages = [_rhs(exps, cols, y)]
         for row in _DP_A:
-            stages.append(_rhs(exps, cols, *_advance(z, jac, dt, row, stages)))
-        z, jac = _advance(z, jac, dt, _DP_B, stages)
+            stages.append(_rhs(exps, cols, _advance(y, dt, row, stages)))
+        y = _advance(y, dt, _DP_B, stages)
         if estimate:
-            stages.append(_rhs(exps, cols, z, jac))
-            dz, djac = _advance(0.0, 0.0, dt, _DP_E, stages)
-            total += max(float(np.abs(dz).max()), float(np.abs(djac).max()))
-        z /= np.sqrt(np.abs(z[:, :1]) ** 2 + np.abs(z[:, 1:]) ** 2)
-    return z, jac, total
+            stages.append(_rhs(exps, cols, y))
+            total += float(np.abs(_advance(0.0, dt, _DP_E, stages)).max())
+        y[:2] /= np.sqrt(np.abs(y[:1]) ** 2 + np.abs(y[1:2]) ** 2)
+    return y, total
 
 
-def _frame_maps(basis: Basis, start_z, images, jac):
-    """3×3 matrices of dF on (T, Z, Z̄) against (η, ω, ω̄) at the image."""
+def _frame_maps(basis: Basis, y):
+    """3×3 matrices of dF on (T, Z, Z̄) against (η, ω, ω̄) at the images of y."""
     geom = basis.geometry
-    frames = geom.frame_vectors(start_z[:, 0], start_z[:, 1])
-    full = _jac_full(jac)
-    n = start_z.shape[0]
-    maps = np.empty((n, 3, 3), dtype=complex)
-    w1, w2 = images[:, 0], images[:, 1]
-    for j, vec in enumerate(frames):
-        pushed = np.einsum("nkc,nc->nk", full, vec)
+    w1, w2 = y[0], y[1]
+    maps = np.empty((y.shape[1], 3, 3), dtype=complex)
+    for j, (k, b) in enumerate(_PUSHED):
+        pushed = np.stack([y[k], y[k + 1], np.conj(y[b]), np.conj(y[b + 1])], axis=-1)
         maps[:, 0, j] = geom.eta(w1, w2, pushed)
         maps[:, 1, j] = geom.omega(w1, w2, pushed)
         maps[:, 2, j] = geom.omega_bar(w1, w2, pushed)
@@ -238,36 +239,41 @@ def _contact_ratio(maps):
 class ContactDiffeo:
     """Time-1 flow data at the quadrature nodes of a basis.
 
-    ``rhs_evals`` counts the right-hand-side evaluations that produced the
-    map, rejected step counts included; ``error_estimate`` is the embedded
-    estimate of the accepted flow. Both are 0 for the identity.
+    ``state`` rows 0–1 are the images F(x) of the nodes x, rows 2–3, 4–5 and
+    6–7 the dz-components of dF·T, dF·Z and dF·Z̄ at x (their dz̄-components:
+    conjugated rows 2–3, 6–7, 4–5); the identity keeps rows 0–1. ``rhs_evals``
+    counts the RHS evaluations behind the map, rejected step counts included;
+    ``error_estimate`` is the accepted flow's embedded estimate over the state
+    (the pushed T has length κ = 2, so its errors weigh twice those of the
+    images). Both are 0 for the identity.
     """
 
     basis: Basis
     generator: ContactField | None
     steps: int
-    images: np.ndarray          # (n, 2)
-    jacobians: np.ndarray       # (n, 2, 4), rows F1, F2 over (z1, z2, z̄1, z̄2)
+    state: np.ndarray                           # (8, n); (2, n) for the identity
     frame_maps: np.ndarray = field(repr=False)  # (n, 3, 3), see _frame_maps
     contact_ratio: float = 0.0
     is_identity: bool = False
     rhs_evals: int = 0
     error_estimate: float = 0.0
 
+    @property
+    def images(self):
+        """The images of the nodes, (n, 2): a view of the state's rows 0–1."""
+        return self.state[:2].T
+
     @staticmethod
     def identity(basis: Basis) -> "ContactDiffeo":
-        """The identity at the nodes: (T, Z, Z̄) is dual to (η, ω, ω̄), so
-        the frame maps are exactly the 3×3 identity and the ratio is 0. The
-        Jacobians and frame maps are read-only broadcasts, not per-node
-        arrays; ``_integrate`` never writes to its inputs."""
-        nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
-        jac = np.broadcast_to(np.eye(2, 4, dtype=complex), (len(nodes), 2, 4))
-        maps = np.broadcast_to(np.eye(3, dtype=complex), (len(nodes), 3, 3))
-        return ContactDiffeo(basis, None, 0, nodes, jac, maps, 0.0, is_identity=True)
+        """The identity at the nodes: (T, Z, Z̄) is dual to (η, ω, ω̄), so the
+        frame maps are exactly the 3×3 identity (a read-only broadcast) and
+        the ratio is 0. The state holds the nodes only."""
+        nodes = np.stack([basis.grid.z1, basis.grid.z2])
+        maps = np.broadcast_to(np.eye(3, dtype=complex), (nodes.shape[1], 3, 3))
+        return ContactDiffeo(basis, None, 0, nodes, maps, 0.0, is_identity=True)
 
     def sphere_defect(self):
-        return float(np.abs(np.abs(self.images[:, 0]) ** 2
-                            + np.abs(self.images[:, 1]) ** 2 - 1.0).max())
+        return float(np.abs((np.abs(self.state[:2]) ** 2).sum(axis=0) - 1.0).max())
 
 
 def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
@@ -278,8 +284,8 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     CONTACT_RATIO_TOL. Otherwise the step count doubles, up to
     MAX_FLOW_STEPS; past that it raises FlowError. The returned ``steps`` is
     the accepted count, so it exceeds the requested one only after a doubling.
-    A field whose order-FLOW_NORM_ORDER norm exceeds FLOW_NORM_CAP raises
-    FlowError.
+    A field whose order-FLOW_NORM_ORDER norm exceeds FLOW_NORM_CAP, or is not
+    finite, raises FlowError before any integration.
     """
     if steps < 1:
         raise ValueError(f"flow needs at least 1 step, got {steps}")
@@ -288,49 +294,43 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     if size < _IDENTITY_CUTOFF:
         return ContactDiffeo.identity(basis)
     norm = X.fs_norm(FLOW_NORM_ORDER)
-    if norm > FLOW_NORM_CAP:
-        raise FlowError(f"contact field too large to flow (norm {norm:.3g} > {FLOW_NORM_CAP})")
+    if not norm <= FLOW_NORM_CAP:  # a NaN fails this too
+        raise FlowError(f"contact field too large to flow (norm {norm:.3g}, cap {FLOW_NORM_CAP})")
 
     exps, cols = _flow_columns(X)
-    start = ContactDiffeo.identity(basis)
-    nodes, jac0 = start.images, start.jacobians
-
-    n_steps = steps
-    rhs_evals = 0
+    start = _start_state(basis)
+    n_steps, rhs_evals = steps, 0
     while True:
-        images, jac, estimate = _integrate(exps, cols, nodes, jac0, n_steps, estimate=True)
+        y, estimate = _integrate(exps, cols, start, n_steps, estimate=True)
         rhs_evals += 7 * n_steps
-        maps = _frame_maps(basis, nodes, images, jac)
+        maps = _frame_maps(basis, y)
         ratio = _contact_ratio(maps)
         if estimate <= FLOW_TOL and ratio <= CONTACT_RATIO_TOL:
-            return ContactDiffeo(basis, X, n_steps, images, jac, maps, ratio,
+            return ContactDiffeo(basis, X, n_steps, y, maps, ratio,
                                  rhs_evals=rhs_evals, error_estimate=estimate)
         if 2 * n_steps > MAX_FLOW_STEPS:
-            raise FlowError(
-                f"flow error estimate {estimate:.2e} (tol {FLOW_TOL:g}) and contact ratio "
-                f"{ratio:.2e} (tol {CONTACT_RATIO_TOL:g}) at {n_steps} steps"
-            )
+            raise FlowError(f"flow error estimate {estimate:.2e} (tol {FLOW_TOL:g}) and contact "
+                            f"ratio {ratio:.2e} (tol {CONTACT_RATIO_TOL:g}) at {n_steps} steps")
         n_steps *= 2
 
 
 def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
-    """The diffeomorphism outer ∘ inner, by transporting inner's data along
-    outer's flow with outer's step count and no estimate stage. The outer map
-    must be the identity or a flow: a composite has no generator to
-    integrate. ``rhs_evals`` adds the transport's 6 per step to inner's. The
-    transport runs at outer's accepted step count, so outer's estimate from
-    the nodes stands in for it: the estimate is the sum of the two."""
+    """The diffeomorphism outer ∘ inner: inner's state transported along
+    outer's flow at outer's accepted step count with no estimate stage, so
+    ``rhs_evals`` adds 6 per step to inner's and the estimate is the sum of
+    the two. The outer map must be the identity or a flow: a composite has
+    no generator to integrate."""
     if outer.is_identity:
         return replace(inner, generator=None)
     if outer.generator is None:
         raise ValueError("compose needs an outer flow or the identity, got a composite")
     basis = inner.basis
-    nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
+    start = _start_state(basis) if inner.is_identity else inner.state
     exps, cols = _flow_columns(outer.generator)
-    images, jac, _ = _integrate(exps, cols, inner.images, inner.jacobians, outer.steps)
-    maps = _frame_maps(basis, nodes, images, jac)
+    y, _ = _integrate(exps, cols, start, outer.steps)
+    maps = _frame_maps(basis, y)
     return ContactDiffeo(basis, None, max(outer.steps, inner.steps),
-                         images, jac, maps, _contact_ratio(maps),
+                         y, maps, _contact_ratio(maps),
                          rhs_evals=inner.rhs_evals + 6 * outer.steps,
                          error_estimate=inner.error_estimate + outer.error_estimate)
 
@@ -366,7 +366,7 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     a_vals = maps[:, 1, 1] + composition_values * maps[:, 2, 1]
     b_vals = maps[:, 1, 2] + composition_values * maps[:, 2, 2]
     min_a = float(np.abs(a_vals).min())
-    if min_a < _MIN_ABS_A:
+    if not min_a >= _MIN_ABS_A:  # a NaN fails this too
         raise NeighbourhoodError(f"structure left the parameterized neighbourhood (|A| = {min_a:.3f})")
     return DeformationTensor(F.basis.project_with_mass(b_vals / a_vals))
 

@@ -218,6 +218,7 @@ def result_to_json(result, config=None, input_sha256=None):
         },
         "norm_report": result.norm_report(),
         "max_truncation_mass": float(result.max_truncation_mass()),
+        "max_contact_ratio": float(result.max_contact_ratio()),
         "history": result.history,
     }
     if config is not None:
@@ -227,4 +228,5 @@ def result_to_json(result, config=None, input_sha256=None):
     return out
 
 
-HISTORY_HEADER = ["iter", "chi_norm", "xi_norm", "trunc_mass"]
+HISTORY_HEADER = ["iter", "chi_norm", "xi_norm", "trunc_mass",
+                  "flow_rhs_evals", "flow_error_estimate", "contact_ratio"]

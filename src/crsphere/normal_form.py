@@ -126,6 +126,9 @@ class NormalFormResult:
     def max_truncation_mass(self):
         return max((row["trunc_mass"] for row in self.history), default=0.0)
 
+    def max_contact_ratio(self):
+        return max((row["contact_ratio"] for row in self.history), default=0.0)
+
 
 def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
           max_iter=DEFAULT_MAX_ITER, order=DEFAULT_ORDER, steps=DEFAULT_FLOW_STEPS,
@@ -165,6 +168,9 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
             "chi_norm": chi_norm,
             "xi_norm": xi_norm,
             "trunc_mass": mu.coefficient.meta.get("truncation_mass", 0.0),
+            "flow_rhs_evals": F.rhs_evals,
+            "flow_error_estimate": F.error_estimate,
+            "contact_ratio": F.contact_ratio,
         })
         if chi_norm + xi_norm < tol:
             converged = True

@@ -1,14 +1,16 @@
 """Contact flows: closed forms, group structure, pullbacks, remainder."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from crsphere.fields import complex_contact_norm, contact_from_generating
+from crsphere.fields import ContactField, complex_contact_norm, contact_from_generating
+from crsphere import _core
 from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TOL, ContactDiffeo, DeformationTensor,
-                           FlowError, NeighbourhoodError, _flow_columns, _frame_maps, _rhs,
-                           compose, e_remainder, flow, pullback_deformation,
+                           FlowError, NeighbourhoodError, _flow_columns, _frame_maps,
+                           _start_state, compose, e_remainder, flow, pullback_deformation,
                            pullback_scalar)
 from crsphere.normal_form import random_deformation, solve
 
@@ -45,10 +47,20 @@ def test_hopf_flow_closed_form(suite6):
     assert F.contact_ratio < 1e-10
 
 
+@pytest.mark.parametrize("c", [0.05, 0.3])
+def test_hopf_flow_frame_maps_closed_form(suite6, c):
+    # the flow of g = c is z -> exp(2ic) z, which pushes T to T and Z to
+    # exp(4ic) Z at the image ([T, Z] = -4iZ), so the frame maps are
+    # diag(1, exp(4ic), exp(-4ic)) at every node
+    F = flow(contact_from_generating(suite6, suite6.basis.constant(c)))
+    expect = np.diag([1.0, np.exp(4j * c), np.exp(-4j * c)])
+    assert np.abs(F.frame_maps - expect).max() < 1e-14
+
+
 def test_error_estimate_catches_phase_error(suite6):
-    # on the Hopf rotation the Jacobian is a multiple of the identity, so the
-    # contact ratio stays at roundoff while 1 step is far off; only the
-    # embedded estimate forces the doublings
+    # the Hopf rotation pushes each frame vector to a unimodular multiple of
+    # the frame at the image, so the contact ratio stays at roundoff while
+    # 1 step is far off; only the embedded estimate forces the doublings
     c = 0.3
     X = contact_from_generating(suite6, suite6.basis.constant(c))
     F = flow(X)
@@ -75,8 +87,7 @@ def test_small_field_accepted_at_default_steps(suite6):
     F = flow(X)
     assert F.steps == DEFAULT_FLOW_STEPS
     ref = flow(X, steps=256)
-    assert np.max(np.abs(F.images - ref.images)) < 1e-12
-    assert np.max(np.abs(F.jacobians - ref.jacobians)) < 1e-12
+    assert np.max(np.abs(F.state - ref.state)) < 1e-12
 
 
 def test_flow_rejects_zero_steps(suite6):
@@ -84,20 +95,58 @@ def test_flow_rejects_zero_steps(suite6):
         flow(small_field(suite6, 73, 2e-3), steps=0)
 
 
+def _jac_full(jac):
+    """The 4×4 ambient Jacobian from its (n, 2, 4) dz-rows: F is real, so the
+    dz̄-rows are the conjugated dz-rows with the columns swapped in pairs."""
+    return np.concatenate([jac, np.conj(jac[:, :, [2, 3, 0, 1]])], axis=1)
+
+
+def _jac_rhs(exps, cols, z, jac):
+    """The oracle's own right-hand side: velocity and Jacobian derivative
+    DX(z) J at positions z (n, 2), jac (n, 2, 4) over (z1, z2, z̄1, z̄2)."""
+    z1, z2 = z[:, 0], z[:, 1]
+    w = _core.eval_poly(z1, z2, exps, cols)
+    g, h = w[:, 0], w[:, 1]
+    dg, dh = w[:, 2:6], w[:, 6:10]
+    zb1, zb2 = np.conj(z1), np.conj(z2)
+
+    vel = np.empty_like(z)
+    vel[:, 0] = 2j * g * z1 + h * zb2
+    vel[:, 1] = 2j * g * z2 - h * zb1
+
+    dx = np.empty((z.shape[0], 2, 4), dtype=complex)
+    dx[:, 0, :] = 2j * z1[:, None] * dg + zb2[:, None] * dh
+    dx[:, 0, 0] += 2j * g
+    dx[:, 0, 3] += h
+    dx[:, 1, :] = 2j * z2[:, None] * dg - zb1[:, None] * dh
+    dx[:, 1, 1] += 2j * g
+    dx[:, 1, 2] -= h
+    return vel, dx @ _jac_full(jac)
+
+
 def _rk4_integrate(exps, cols, z0, jac0, steps):
-    """Classical RK4 time-1 integration with per-step re-projection to S³."""
+    """Classical RK4 time-1 integration of positions and ambient Jacobians,
+    with per-step re-projection to S³."""
     z = z0.copy()
     jac = jac0.copy()
     dt = 1.0 / steps
     for _ in range(steps):
-        v1, m1 = _rhs(exps, cols, z, jac)
-        v2, m2 = _rhs(exps, cols, z + 0.5 * dt * v1, jac + 0.5 * dt * m1)
-        v3, m3 = _rhs(exps, cols, z + 0.5 * dt * v2, jac + 0.5 * dt * m2)
-        v4, m4 = _rhs(exps, cols, z + dt * v3, jac + dt * m3)
+        v1, m1 = _jac_rhs(exps, cols, z, jac)
+        v2, m2 = _jac_rhs(exps, cols, z + 0.5 * dt * v1, jac + 0.5 * dt * m1)
+        v3, m3 = _jac_rhs(exps, cols, z + 0.5 * dt * v2, jac + 0.5 * dt * m2)
+        v4, m4 = _jac_rhs(exps, cols, z + dt * v3, jac + dt * m3)
         z = z + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
         jac = jac + (dt / 6.0) * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
         z /= np.sqrt(np.abs(z[:, :1]) ** 2 + np.abs(z[:, 1:]) ** 2)
     return z, jac
+
+
+def _pushed_frame(basis, jac, every=1):
+    """J·E_j at every ``every``-th node for E_j = T, Z, Z̄: the dz-components
+    of the pushed frame, (6, m) in the row order of a flow's state."""
+    grid = basis.grid
+    frames = basis.geometry.frame_vectors(grid.z1[::every], grid.z2[::every])
+    return np.concatenate([np.einsum("nkc,nc->kn", jac, vec) for vec in frames])
 
 
 def _rk4_oracle(X, steps, every):
@@ -105,8 +154,9 @@ def _rk4_oracle(X, steps, every):
     every ``every``-th node (the flow moves each node on its own), and their
     step-halving gap to the flow at ``steps // 2``."""
     exps, cols = _flow_columns(X)
-    start = ContactDiffeo.identity(X.basis)
-    z0, jac0 = start.images[::every], start.jacobians[::every]
+    grid = X.basis.grid
+    z0 = np.stack([grid.z1[::every], grid.z2[::every]], axis=1)
+    jac0 = np.broadcast_to(np.eye(2, 4, dtype=complex), (len(z0), 2, 4))
     fine = _rk4_integrate(exps, cols, z0, jac0, steps)
     coarse = _rk4_integrate(exps, cols, z0, jac0, steps // 2)
     gap = max(float(np.abs(f - c).max()) for f, c in zip(fine, coarse))
@@ -129,7 +179,8 @@ def test_default_flow_matches_rk4_oracle(make_field):
     # by in the solver's last iterations; it is small, so the large field
     # (still accepted at 1 step) is the one that sees a wrong stage entry.
     # The oracle follows one node in 13, a stride coprime to the radial and
-    # torus sizes of the grid
+    # torus sizes of the grid. The flow's pushed vectors are checked against
+    # the oracle's ambient Jacobian applied to the frame at the nodes
     X = make_field()
     F = flow(X)
     assert F.steps == DEFAULT_FLOW_STEPS and F.error_estimate <= FLOW_TOL
@@ -137,7 +188,7 @@ def test_default_flow_matches_rk4_oracle(make_field):
     images, jac, gap = _rk4_oracle(X, 256, every)
     assert gap < 1e-12
     assert np.abs(F.images[::every] - images).max() < 1e-12
-    assert np.abs(F.jacobians[::every] - jac).max() < 1e-12
+    assert np.abs(F.state[2:, ::every] - _pushed_frame(X.basis, jac, every)).max() < 1e-12
 
 
 def test_flow_rhs_evaluation_counts(suite6, monkeypatch):
@@ -146,10 +197,11 @@ def test_flow_rhs_evaluation_counts(suite6, monkeypatch):
     import importlib
     flow_mod = importlib.import_module("crsphere.flow")
     calls = []
+    rhs = flow_mod._rhs
 
     def counted(*args):
         calls.append(None)
-        return _rhs(*args)
+        return rhs(*args)
 
     monkeypatch.setattr(flow_mod, "_rhs", counted)
     F = flow(small_field(suite6, 72, 2e-3))
@@ -225,22 +277,24 @@ def test_deformation_tensor_size_guard(suite6):
 
 
 def test_pullback_matches_explicit_frame_pushforward(suite6):
-    # reference: push Z and Zb through the completed Jacobian at the nodes
-    # and pair with omega, omega-bar at the images, A = omega(dF Z) +
-    # (phi o F) omega-bar(dF Z), B likewise with Zb; the production path
-    # reads the same pairings from the stored frame maps
+    # reference: complete the pushed Z and Zb of the state to 4-vectors (the
+    # dz-bar part of dF Z is the conjugated dz part of dF Zb) and pair with
+    # omega, omega-bar at the images, A = omega(dF Z) + (phi o F)
+    # omega-bar(dF Z), B likewise with Zb; the production path reads the same
+    # pairings from the stored frame maps. The pushed vectors themselves are
+    # the RK4 oracle's Jacobian applied to Z and Zb at the nodes
     basis = suite6.basis
     geom = basis.geometry
-    F = flow(small_field(suite6, 74, 0.2, max_degree=3), steps=16)
+    X = small_field(suite6, 74, 0.2, max_degree=3)
+    F = flow(X, steps=16)
     phi = random_deformation(basis, np.random.default_rng(75), 5e-3)
-    jac = F.jacobians
-    full = np.concatenate([jac, np.conj(jac[:, :, [2, 3, 0, 1]])], axis=1)
-    _, z_vec, zb_vec = geom.frame_vectors(basis.grid.z1, basis.grid.z2)
+    y = F.state
+    pushed_z = np.stack([y[4], y[5], np.conj(y[6]), np.conj(y[7])], axis=-1)
+    pushed_zb = np.stack([y[6], y[7], np.conj(y[4]), np.conj(y[5])], axis=-1)
     w1, w2 = F.images[:, 0], F.images[:, 1]
     comp = basis.eval_columns(w1, w2, phi.coefficient.coeffs[:, None])[:, 0]
     out = []
-    for vec in (z_vec, zb_vec):
-        pushed = np.einsum("nkc,nc->nk", full, vec)
+    for pushed in (pushed_z, pushed_zb):
         out.append(geom.omega(w1, w2, pushed) + comp * geom.omega_bar(w1, w2, pushed))
     a_vals, b_vals = out
     expect = basis.project_with_mass(b_vals / a_vals)
@@ -249,6 +303,10 @@ def test_pullback_matches_explicit_frame_pushforward(suite6):
     assert got.meta == expect.meta
     nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
     assert np.abs(F.images - nodes).max() > 1e-3 and np.abs(comp).max() > 0.0
+    every = 13
+    images, jac, _ = _rk4_oracle(X, 256, every)
+    assert np.abs(F.images[::every] - images).max() < 1e-12
+    assert np.abs(y[4:, ::every] - _pushed_frame(basis, jac, every)[2:]).max() < 1e-12
 
 
 def _flow_columns_per_monomial(X):
@@ -301,6 +359,45 @@ def test_flow_norm_cap(suite6):
     g = suite6.basis.constant(20.0)
     with pytest.raises(FlowError):
         flow(contact_from_generating(suite6, g))
+
+
+def test_non_finite_field_raises_before_integrating(suite6, monkeypatch):
+    # a NaN field fails the norm cap as written (not norm <= cap) instead of
+    # doubling to MAX_FLOW_STEPS on NaN estimates; any warning on the way
+    # would fail the test too
+    import importlib
+    flow_mod = importlib.import_module("crsphere.flow")
+    calls = []
+    monkeypatch.setattr(flow_mod, "_rhs", lambda *args: calls.append(None))
+    basis = suite6.basis
+    X = ContactField(basis.constant(float("nan")), basis.zero())
+    with pytest.raises(FlowError, match="nan"):
+        flow(X)
+    assert calls == []
+
+
+def test_non_finite_frame_coefficient_leaves_neighbourhood(suite6):
+    ident = ContactDiffeo.identity(suite6.basis)
+    phi = DeformationTensor(suite6.basis.zero())
+    nan = np.full(suite6.basis.grid.n_nodes, np.nan)
+    with pytest.raises(NeighbourhoodError, match="nan"):
+        pullback_deformation(ident, phi, composition_values=nan)
+
+
+def test_zero_field_flow_builds_no_state():
+    # the identity keeps read-only broadcasts and the nodes; the (8, n)
+    # start state is built only by an integration
+    basis = cached_basis(12)
+    X = ContactField(basis.zero(), basis.zero())
+    state_bytes = 8 * basis.grid.n_nodes * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        F = flow(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert F.is_identity
+    assert peak < state_bytes
 
 
 def test_remainder_vanishes_at_zero_field(suite6):
@@ -367,16 +464,23 @@ def test_compose_of_identities_is_identity(suite6):
     F = flow(small_field(suite6, 79, 2e-3), steps=16)
     for G in (compose(ident, F), compose(F, ident)):
         assert not G.is_identity
-        assert np.abs(G.images - F.images).max() < 1e-15
+        assert G.state.shape == F.state.shape == (8, suite6.basis.grid.n_nodes)
+        assert np.abs(G.state - F.state).max() < 1e-15
+        assert np.abs(G.frame_maps - F.frame_maps).max() < 1e-15
 
 
 @pytest.mark.parametrize("degree", [6, 8])
 def test_identity_frame_maps_match_computed(degree):
-    # the oracle: the frame maps of the identity Jacobian computed from the
-    # frame vectors and forms, as every moving flow computes them
+    # the oracle: the frame maps of the start state computed from the forms,
+    # as every moving flow computes them; the start state is the identity
+    # Jacobian applied to the frame at the nodes
     basis = cached_basis(degree)
     ident = ContactDiffeo.identity(basis)
-    computed = _frame_maps(basis, ident.images, ident.images, ident.jacobians)
+    start = _start_state(basis)
+    jac = np.broadcast_to(np.eye(2, 4, dtype=complex), (basis.grid.n_nodes, 2, 4))
+    assert np.array_equal(start[:2], ident.state)
+    assert np.abs(start[2:] - _pushed_frame(basis, jac)).max() < 1e-12
+    computed = _frame_maps(basis, start)
     assert np.abs(computed - ident.frame_maps).max() < 1e-14
     assert np.array_equal(ident.frame_maps, np.broadcast_to(np.eye(3), computed.shape))
 

@@ -124,6 +124,7 @@ def test_result_serialization_is_json_clean(suite6):
     assert len(parsed["history"]) == parsed["iterations"]
     assert parsed["flow_rhs_evals"] == result.flow_rhs_evals > 0
     assert parsed["max_flow_error_estimate"] == result.max_flow_error_estimate
+    assert parsed["max_contact_ratio"] == result.max_contact_ratio() > 0.0
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
@@ -143,8 +144,9 @@ def test_atomic_write_replaces(tmp_path):
 
 def test_csv_roundtrip_with_preamble(tmp_path):
     path = tmp_path / "t.csv"
-    rows = [{"iter": 0, "chi_norm": 0.5, "xi_norm": 0.0, "trunc_mass": 1e-16},
-            {"iter": 1, "chi_norm": 1e-12, "xi_norm": 2e-18, "trunc_mass": 0.0}]
+    flow_cols = {"flow_rhs_evals": 0, "flow_error_estimate": 0.0, "contact_ratio": 0.0}
+    rows = [{"iter": 0, "chi_norm": 0.5, "xi_norm": 0.0, "trunc_mass": 1e-16, **flow_cols},
+            {"iter": 1, "chi_norm": 1e-12, "xi_norm": 2e-18, "trunc_mass": 0.0, **flow_cols}]
     io.write_csv(path, io.HISTORY_HEADER, rows, preamble=["config={}"])
     text = path.read_text()
     assert text.startswith("# config={}\n")

@@ -95,6 +95,21 @@ def test_random_solve_first_iteration_evaluates_no_polynomial(suite6, monkeypatc
     assert all(count > 0 for count in calls.values())
 
 
+def test_history_carries_each_iterations_flow(suite6):
+    # iteration 0 flows X = 0, the identity; the flow columns of the history
+    # add up to the solve's totals and maxima
+    phi = nf.random_deformation(suite6.basis, np.random.default_rng(86), 5e-3)
+    result = nf.solve(suite6, phi)
+    first = result.history[0]
+    assert (first["flow_rhs_evals"], first["flow_error_estimate"], first["contact_ratio"]) \
+        == (0, 0.0, 0.0)
+    assert result.iterations > 1
+    assert sum(row["flow_rhs_evals"] for row in result.history) == result.flow_rhs_evals > 0
+    assert max(row["flow_error_estimate"] for row in result.history) \
+        == result.max_flow_error_estimate
+    assert 0.0 < result.max_contact_ratio() == max(row["contact_ratio"] for row in result.history)
+
+
 def test_solver_certificates(suite8):
     rng = np.random.default_rng(82)
     phi = nf.random_deformation(suite8.basis, rng, 2e-3)
