@@ -109,13 +109,6 @@ class Basis:
         self.size = coeffs.shape[1]
         self._slot = {s: i for i, s in enumerate(zip(k1.tolist(), k2.tolist(), degrees.tolist()))}
 
-        # Z and Zbar shift (k1, k2) along the diagonal at fixed degree, so the
-        # (degree, k1 - k2) chains are invariant; each lists its slots by k1 + k2.
-        chains = {}
-        for i, key in enumerate(zip(self.degrees.tolist(), (self.k1 - self.k2).tolist())):
-            chains.setdefault(key, []).append(i)
-        self.chains = [np.array(c) for c in chains.values()]
-
         # conj(basis function) is exactly the mirrored-weight basis function.
         self.conj_index = np.array([self._slot[(-int(a), -int(b), int(d))]
                                     for a, b, d in zip(self.k1, self.k2, self.degrees)])

@@ -120,7 +120,9 @@ def _horizontal_from_parameter(suite: OperatorSuite, f: SpectralScalar) -> Spect
 
 
 def contact_from_generating(suite: OperatorSuite, g: SpectralScalar) -> ContactField:
-    """Real contact field with X⌟η = g; rejects non-real g."""
+    """Real contact field with X⌟η = g; rejects non-finite or non-real g."""
+    if not np.all(np.isfinite(g.coeffs)):
+        raise ValueError("generating function of a contact field must be finite")
     if not g.is_real(1e-12 * max(1.0, g.l2_norm())):
         raise ValueError("generating function of a contact field must be real")
     g = g.real_part()

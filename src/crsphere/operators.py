@@ -3,10 +3,10 @@
 Everything here is a finite matrix acting on basis coefficients. The frame
 derivative Z̄ moves the one-dimensional slot (k1, k2, d) to (k1+1, k2+1, d),
 so every operator in this module is block diagonal over the (d, k1 − k2)
-chains of the basis (``Basis.chains``; at most d + 1 slots each). □_b, the
-Szegő projector and the π_Re system are diagonal; homotopy inverses are
-per-chain pseudo-inverses, stored sparse, and the associated projectors are
-orthogonal in the inner products induced by the adapted metric.
+chains of the basis (at most d + 1 slots each). □_b, the Szegő projector and
+the π_Re system are diagonal; the homotopy inverses are closed forms, stored
+sparse, and the associated projectors are orthogonal in the inner products
+induced by the adapted metric.
 
 Metric weights (derived from the Levi constant ℓ = 1/2):
 
@@ -21,6 +21,25 @@ The tangential complex on fields, in components, is
 
 where the iℓ h term is the T-component of π₍₁,₀₎[Z̄, hZ] coming from the
 bracket [Z̄, Z] = iℓ T.
+
+The homotopy inverses are the weighted pseudo-inverses in these metrics, in
+closed form. Write Z̄ e_s = c_s e_σ(s), with the real ladder entry c_s = 0 when
+q_s = 0, and let a_s be the entry into s from its preimage s⁻ (0 if s has
+none). Z̄ is 1-sparse and injective on the slots it does not annihilate, so
+Z̄⁺ is Z̄ᵀ with reciprocal entries. B(f, h) = (Z̄f + iℓh, Z̄h) sends the
+unknowns (h_s, f_s⁻) only to the equations (p_s, q_σ(s)), through
+[[iℓ, a_s], [c_s, 0]]; these groups are orthogonal in the diagonal weights,
+so B⁺ is their direct sum:
+
+* a_s c_s ≠ 0: the group is invertible, h_s = q_σ(s)/c_s and
+  f_s⁻ = (p_s − iℓ h_s)/a_s;
+* otherwise, with d_s = ℓ + a_s² + c_s², the weighted least-squares
+  minimum-norm answer is h_s = (−i p_s + c_s q_σ(s))/d_s, f_s⁻ = a_s p_s/d_s;
+* f_s = 0 where Z̄ e_s = 0 (it is in ker B), and B⁺ drops q_t at a slot t
+  with no preimage (it is orthogonal to range B).
+
+With S = diag(a_s c_s ≠ 0) and R = diag((1 − S_s)/d_s), c_s q_σ(s) = (Z̄ᵀq)_s and
+a_s p_s = (Z̄ᵀp)_s⁻, so B⁺ = [[Z̄⁺S + Z̄ᵀR, −iℓ Z̄⁺SZ̄⁺], [−iR, SZ̄⁺ + RZ̄ᵀ]].
 
 On complex contact fields Z_f = (f, 2i Z̄f) the harmonic projector K = I − PB
 is the slot mask M = diag(q ≤ 1), K(Z_f) = Z_{Mf}:
@@ -42,8 +61,6 @@ import numpy as np
 from scipy import sparse
 
 from .basis import Basis, SpectralScalar
-
-PINV_RCOND = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +144,6 @@ class FieldForm01:
 # ---------------------------------------------------------------------------
 
 
-def _blockwise_pinv(mat, blocks, dom_weight, cod_weight):
-    """Per-block weighted pseudo-inverse, as a sparse matrix.
-
-    Returns P with P y = argmin ||x||_dom over minimizers of ||mat x − y||_cod,
-    block by block. Each block is an index array whose span ``mat`` maps into
-    itself; weights are per-coordinate diagonals.
-    """
-    sd = np.sqrt(dom_weight)
-    sc = np.sqrt(cod_weight)
-    rows, cols, vals = [], [], []
-    for idx in blocks:
-        block = mat[idx[:, None], idx].toarray()
-        weighted = sc[idx, None] * block / sd[None, idx]
-        pinv = np.linalg.pinv(weighted, rcond=PINV_RCOND)
-        rows.append(np.repeat(idx, idx.size))
-        cols.append(np.tile(idx, idx.size))
-        vals.append(((pinv / sd[idx, None]) * sc[None, idx]).ravel())
-    n_cod, n_dom = mat.shape
-    return sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n_dom, n_cod))
-
-
 class OperatorSuite:
     """All linear CR operators for one basis; immutable after construction."""
 
@@ -164,7 +159,8 @@ class OperatorSuite:
         dzb = basis.frame_zbar_matrix
         eye = sparse.eye_array(nb, format="csr")
 
-        self.p_sc_matrix = _blockwise_pinv(dzb, basis.chains, np.ones(nb), np.ones(nb))
+        # Z̄⁺ = Z̄ᵀ with reciprocal entries, see the module docstring
+        self.p_sc_matrix = zp = dzb.T.power(-1).tocsr()
         self.s_sc_matrix = eye - dzb @ self.p_sc_matrix
         # ker(Z̄) is exactly the CR (holomorphic-restriction) part of the basis
         self.szego_mask = (basis.bidegree_q == 0).astype(float)
@@ -175,19 +171,22 @@ class OperatorSuite:
         if defect > 1e-10:
             raise AssertionError(f"Szegő projector disagrees with pseudo-inverse ({defect:.2e})")
 
+        # squared ladder entries out of (c²) and into (a²) each slot
+        entries2 = dzb.multiply(dzb)
+        c2, a2 = entries2.sum(axis=0), entries2.sum(axis=1)
         # □_b = ∂̄* ∂̄ with the (0,1)-form weight 1/ℓ folded into the adjoint;
-        # Z̄ is 1-sparse and injective on slots, so □_b is the diagonal
-        # b_i = (1/ℓ) Σ_j Z̄_ji²
-        self.box_diag = (1.0 / levi) * dzb.multiply(dzb).sum(axis=0)
+        # Z̄ is 1-sparse and injective on slots, so □_b is the diagonal c²/ℓ
+        self.box_diag = c2 / levi
 
         # field complex B: (f, h) -> (p, q) packed as stacked coefficient vectors
         self.b_vec_matrix = sparse.block_array([[dzb, levi * 1j * eye], [None, dzb]], format="csr")
-        field_dom_weight = np.concatenate([np.ones(nb), np.full(nb, levi)])
-        field_cod_weight = np.concatenate([np.full(nb, 1.0 / levi), np.ones(nb)])
-        field_blocks = [np.concatenate([idx, nb + idx]) for idx in basis.chains]
-        self.p_vec_matrix = _blockwise_pinv(
-            self.b_vec_matrix, field_blocks, field_dom_weight, field_cod_weight
-        )
+        # B⁺ from the slot groups of the module docstring
+        is_square = a2 * c2 != 0
+        square = sparse.diags_array(is_square.astype(float))
+        rest = sparse.diags_array(np.where(is_square, 0.0, 1.0 / (levi + a2 + c2)))
+        self.p_vec_matrix = sparse.block_array(
+            [[zp @ square + dzb.T @ rest, -1j * levi * zp @ square @ zp],
+             [-1j * rest, square @ zp + rest @ dzb.T]], format="csr")
         eye2 = sparse.eye_array(2 * nb, format="csr")
         self.q_vec_matrix = eye2 - self.b_vec_matrix @ self.p_vec_matrix
         self.k_harm_matrix = eye2 - self.p_vec_matrix @ self.b_vec_matrix

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import cached_suite
 from crsphere.fields import (VField, complex_contact, complex_contact_norm,
                              contact_from_generating, decompose, phat_shat, pi_im, pi_re)
 from crsphere.operators import HolField
@@ -14,6 +15,13 @@ def test_contact_field_requires_real_generating(suite6):
     with pytest.raises(ValueError):
         contact_from_generating(suite6, g)
     contact_from_generating(suite6, g.real_part())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_contact_field_rejects_non_finite_generating(value):
+    suite = cached_suite(4)
+    with pytest.raises(ValueError, match="must be finite"):
+        contact_from_generating(suite, suite.basis.constant(value))
 
 
 def test_contact_defining_equation(suite6):

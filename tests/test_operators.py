@@ -4,13 +4,15 @@ Independence here means quadrature + finite differences, never the spectral
 derivative matrices: the Kohn Laplacian is pinned by its quadratic form
 <box f, g> = (1/levi) <Zbar f, Zbar g>_{L^2} with the derivatives taken by
 central differences, and the Szego projector by least squares against the
-span of CR monomials assembled on the grid. The chain-structured homotopy
-operators are pinned against a dense assembly of weighted pseudo-inverses
-over whole degree blocks.
+span of CR monomials assembled on the grid. The closed-form homotopy
+inverses are pinned against the reference implementation they replace: a
+dense SVD pseudo-inverse of every whole degree block in the metric weights,
+and separately against the weighted Penrose identities.
 """
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import cached_suite
 from test_basis import frame_derivative_fd
@@ -199,8 +201,10 @@ def _dense_blockwise_pinv(mat, blocks, dom_weight, cod_weight):
     return out
 
 
-def test_chain_operators_match_dense_degree_block_assembly(suite6):
-    basis = suite6.basis
+@pytest.mark.parametrize("degree", [4, 6, 8])
+def test_operators_match_dense_degree_block_assembly(degree):
+    suite = cached_suite(degree)
+    basis = suite.basis
     nb = basis.size
     levi = float(basis.geometry.levi)
     eye, eye2, zero = np.eye(nb), np.eye(2 * nb), np.zeros((nb, nb))
@@ -235,13 +239,35 @@ def test_chain_operators_match_dense_degree_block_assembly(suite6):
 
     n2 = 2 * nb
     cases = {
-        "p_scalar": (p_sc, columns(lambda e: suite6.p_scalar(ScalarForm01(basis.scalar(e))).coeffs, nb)),
-        "p_field": (p_vec, columns(lambda e: packed(suite6.p_field(form(e))), n2)),
-        "q_field": (q_vec, columns(lambda e: packed(suite6.q_field(form(e))), n2)),
-        "k_harm": (k_harm, columns(lambda e: packed(suite6.k_harm(field(e))), n2)),
-        "combined_p_param": (combined_p, columns(lambda e: suite6.combined_p_param(form(e)).coeffs, n2)),
-        "combined_q": (combined_q, columns(lambda e: packed(suite6.combined_q(form(e))), n2)),
+        "p_scalar": (p_sc, columns(lambda e: suite.p_scalar(ScalarForm01(basis.scalar(e))).coeffs, nb)),
+        "p_field": (p_vec, columns(lambda e: packed(suite.p_field(form(e))), n2)),
+        "q_field": (q_vec, columns(lambda e: packed(suite.q_field(form(e))), n2)),
+        "k_harm": (k_harm, columns(lambda e: packed(suite.k_harm(field(e))), n2)),
+        "combined_p_param": (combined_p, columns(lambda e: suite.combined_p_param(form(e)).coeffs, n2)),
+        "combined_q": (combined_q, columns(lambda e: packed(suite.combined_q(form(e))), n2)),
     }
     for name, (dense, got) in cases.items():
         assert got.shape == dense.shape, name
         assert np.max(np.abs(got - dense)) < 1e-12, name
+
+
+@pytest.mark.parametrize("degree", [4, 8, 12])
+def test_field_pinv_weighted_penrose_identities(degree):
+    suite = cached_suite(degree)
+    basis = suite.basis
+    nb, levi = basis.size, suite.levi
+    B, P = suite.b_vec_matrix, suite.p_vec_matrix
+    dom = sparse.diags_array(np.concatenate([np.ones(nb), np.full(nb, levi)]))
+    cod = sparse.diags_array(np.concatenate([np.full(nb, 1.0 / levi), np.ones(nb)]))
+
+    def largest(mat):
+        return abs(mat).max()
+
+    assert largest(B @ P @ B - B) <= 1e-13
+    assert largest(P @ B @ P - P) <= 1e-13
+    # BP and PB are self-adjoint in the codomain and domain weights
+    assert largest(cod @ B @ P - (cod @ B @ P).conj().T) <= 1e-13
+    assert largest(dom @ P @ B - (dom @ P @ B).conj().T) <= 1e-13
+    # the closed forms store one entry per ladder entry and at most four per slot
+    assert suite.p_sc_matrix.nnz == basis.frame_zbar_matrix.nnz
+    assert suite.p_vec_matrix.nnz <= 4 * nb
