@@ -6,7 +6,8 @@ inverses, contact flows with transported frame vectors, and the normal-form
 solver that conjugates a deformed structure to ``i dbar Y + psi``.
 """
 
-from .basis import Basis, SpectralScalar, build_basis, frame_derivative, fs_norm, multiply
+from .basis import (Basis, NonFiniteError, SpectralScalar, build_basis, frame_derivative,
+                    fs_norm, multiply)
 from .fields import (
     ComplexContactField,
     ContactField,
@@ -62,6 +63,7 @@ __all__ = [
     "FlowError",
     "HolField",
     "NeighbourhoodError",
+    "NonFiniteError",
     "NormalFormResult",
     "OperatorSuite",
     "QuadratureGrid",

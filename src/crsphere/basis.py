@@ -49,6 +49,10 @@ from . import _core
 from .geometry import QuadratureGrid, ReferenceGeometry
 
 
+class NonFiniteError(ValueError):
+    """Coefficients or values that hold a NaN or an infinity."""
+
+
 def monomial_exponents(degree):
     """All (a1, a2, b1, b2) with total degree <= ``degree``, degree-graded lex order."""
     exps = []

@@ -11,18 +11,24 @@ slice        solve phi and G*phi, compare (Y, psi), emit CSV
 Every output embeds the run configuration and the sha256 of any input file,
 and reruns with identical flags are byte-identical.
 
-Exit codes: 0 success, 3 deformation left the parameterized neighbourhood
-(or was too large to start, also in ``gen``), 4 stored coefficients belong
-to a different basis build, 5 a contact flow failed (field too large to
-flow, or no step count up to the cap passed the flow error estimate and
-contact checks), 6 an input file cannot be read, is not JSON, has the wrong
-``type`` or ``kind``, lacks a required key or holds a malformed or
-non-finite (NaN, inf, overflowing) coefficient, or an output file cannot be
-written, 7 the iteration did not converge (``normal-form`` and ``slice``).
-Checks that fail in ``verify``/``slice`` exit 1. argparse's 2 is for bad
-flags only, including a non-finite ``--tol``, ``--eps`` or ``auto:<size>``,
-a size that is not positive, a negative ``--seed``, an ``--s`` outside 1 to
-64 and a ``--steps`` outside 1 to the flow step cap.
+Each failure is raised as a typed exception where it enters, and ``main``
+maps it to its exit code through ``EXIT_CODES``, with one ``error:`` line on
+stderr. Exit codes:
+0  success
+1  checks failed in ``verify`` or ``slice``
+2  a bad flag (argparse), including a non-finite ``--tol``, ``--eps`` or
+   ``auto:<size>``, a size that is not positive, a negative ``--seed``, an
+   ``--s`` outside 1 to 64 and a ``--steps`` outside 1 to the flow step cap
+3  the deformation is outside the neighbourhood: sup |phi| not below 1 (a
+   stored tensor, or a ``gen`` draw at a large ``--eps``), a norm above
+   ``--eps``, or a pulled-back structure with min |A| below 0.1
+4  stored coefficients belong to a different basis build
+5  a contact flow failed: the field is too large to flow, or no step count
+   up to the cap passed the flow error estimate and contact checks
+6  an input file cannot be read, is not JSON, has the wrong ``type`` or
+   ``kind``, lacks a required key or holds a malformed or non-finite (NaN,
+   inf, overflowing) coefficient, or an output file cannot be written
+7  the iteration did not converge (``normal-form`` and ``slice``)
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,12 +48,15 @@ from .flow import DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, FlowError, NeighbourhoodEr
 from .geometry import monomial_moment
 from .operators import FieldForm01, HolField, OperatorSuite
 
-EXIT_OK = 0
-EXIT_NEIGHBOURHOOD = 3
-EXIT_BASIS_MISMATCH = 4
-EXIT_FLOW = 5
-EXIT_INPUT = 6
-EXIT_NO_CONVERGENCE = 7
+# No class here subclasses another, so the lookup does not depend on order.
+EXIT_CODES = {
+    NeighbourhoodError: 3,
+    _io.BasisMismatchError: 4,
+    FlowError: 5,
+    OSError: 6,
+    _io.InputError: 6,
+    nf.ConvergenceError: 7,
+}
 
 VERIFY_HEADER = ["check", "residual", "tol", "status"]
 SLICE_HEADER = ["quantity", "abs_diff", "rel_diff", "tol", "status"]
@@ -63,10 +72,10 @@ class RunConfig:
     """Validated run parameters, echoed into every output file."""
 
     degree: int = 8
-    s: int = 6
-    tol: float = 1e-10
-    max_iter: int = 25
-    eps: float = 1e-2
+    s: int = nf.DEFAULT_ORDER
+    tol: float = nf.DEFAULT_TOL
+    max_iter: int = nf.DEFAULT_MAX_ITER
+    eps: float = nf.DEFAULT_EPS
     steps: int = DEFAULT_FLOW_STEPS
     seed: int = 0
 
@@ -87,41 +96,26 @@ class RunConfig:
             raise ValueError("--seed must be non-negative")
 
     def echo(self):
-        return {
-            "degree": self.degree,
-            "s": self.s,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "eps": self.eps,
-            "steps": self.steps,
-            "seed": self.seed,
-        }
+        return asdict(self)
+
+
+CONFIG_HELP = {
+    "degree": "spectral truncation degree N",
+    "s": f"Folland-Stein order for norms and stopping, 1 to {MAX_S}",
+    "tol": "residual tolerance for the iteration",
+    "max_iter": "iteration cap before giving up",
+    "eps": "neighbourhood radius: inputs above this norm are rejected",
+    "steps": "Dormand-Prince 5(4) steps per contact flow, doubled until the embedded "
+             f"error estimate passes, 1 to {MAX_FLOW_STEPS}",
+    "seed": "non-negative seed for anything random",
+}
 
 
 def _add_config_flags(parser):
-    parser.add_argument("--degree", type=int, default=8,
-                        help="spectral truncation degree N (default 8)")
-    parser.add_argument("--s", type=int, default=6,
-                        help=f"Folland-Stein order for norms and stopping, 1 to {MAX_S} "
-                             "(default 6)")
-    parser.add_argument("--tol", type=float, default=1e-10,
-                        help="residual tolerance for the iteration (default 1e-10)")
-    parser.add_argument("--max-iter", type=int, default=25,
-                        help="iteration cap before giving up (default 25)")
-    parser.add_argument("--eps", type=float, default=1e-2,
-                        help="neighbourhood radius: inputs above this norm are rejected")
-    parser.add_argument("--steps", type=int, default=DEFAULT_FLOW_STEPS,
-                        help="Dormand-Prince 5(4) steps per contact flow, doubled until "
-                             "the embedded error estimate passes, 1 to "
-                             f"{MAX_FLOW_STEPS} (default {DEFAULT_FLOW_STEPS})")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="non-negative seed for anything random (default 0)")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(degree=args.degree, s=args.s, tol=args.tol,
-                     max_iter=args.max_iter, eps=args.eps,
-                     steps=args.steps, seed=args.seed)
+    for f in fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default,
+                            help=f"{CONFIG_HELP[f.name]} (default {f.default:g})")
 
 
 def _suite(config: RunConfig) -> OperatorSuite:
@@ -149,34 +143,30 @@ def cmd_gen(args, config):
     rng = np.random.default_rng(config.seed)
     provenance = {"kind": args.kind, "seed": config.seed}
 
-    try:
-        if args.kind == "random":
-            target = config.eps / 2
-            phi = nf.random_deformation(suite.basis, rng, target, order=config.s)
-            provenance.update(target=target, max_degree=suite.basis.degree - 2)
-        elif args.kind == "pullback-of-zero":
-            target = config.eps / 5
-            inst = nf.pullback_of_zero(suite, rng, target=target, order=config.s,
-                                       steps=config.steps)
-            phi = inst.phi
-            provenance.update(target=target,
-                              x0_generating=_io.scalar_to_json(inst.x0.generating))
-        else:  # prefab-normal-form; argparse choices guard the kind
-            target = config.eps / 2
-            inst = nf.prefab_normal_form(suite, rng, target=target, order=config.s)
-            phi = inst.phi
-            provenance.update(target=target,
-                              y0=_io.scalar_to_json(inst.y0),
-                              psi0=_io.scalar_to_json(inst.psi0))
-    except (NeighbourhoodError, ValueError) as exc:  # sup |phi| >= 1 at this --eps
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEIGHBOURHOOD
+    if args.kind == "random":
+        target = config.eps / 2
+        phi = nf.random_deformation(suite.basis, rng, target, order=config.s)
+        provenance.update(target=target, max_degree=suite.basis.degree - 2)
+    elif args.kind == "pullback-of-zero":
+        target = config.eps / 5
+        inst = nf.pullback_of_zero(suite, rng, target=target, order=config.s,
+                                   steps=config.steps)
+        phi = inst.phi
+        provenance.update(target=target,
+                          x0_generating=_io.scalar_to_json(inst.x0.generating))
+    else:  # prefab-normal-form; argparse choices guard the kind
+        target = config.eps / 2
+        inst = nf.prefab_normal_form(suite, rng, target=target, order=config.s)
+        phi = inst.phi
+        provenance.update(target=target,
+                          y0=_io.scalar_to_json(inst.y0),
+                          psi0=_io.scalar_to_json(inst.psi0))
 
     obj = _io.deformation_to_json(phi, config=config.echo(), provenance=provenance)
     _io.write_json(args.out, obj)
     print(f"wrote {args.kind} deformation (N={config.degree}, "
           f"|phi|_{config.s} = {phi.fs_norm(config.s):.3e}) to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +176,13 @@ def cmd_gen(args, config):
 def cmd_normal_form(args, config):
     suite = _suite(config)
     input_sha = _io.file_sha256(args.infile)
-    try:
-        phi = _io.deformation_from_json(suite.basis, _io.read_json(args.infile))
-    except _io.BasisMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BASIS_MISMATCH
-    except ValueError as exc:  # sup |phi| >= 1, checked by DeformationTensor
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEIGHBOURHOOD
+    phi = _io.deformation_from_json(suite.basis, _io.read_json(args.infile))
 
     history_path = _csv_sibling(args.out, "history")
     try:
         result = nf.solve(suite, phi, tol=config.tol, max_iter=config.max_iter,
                           order=config.s, steps=config.steps, eps=config.eps)
-    except nf.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except nf.ConvergenceError as exc:  # keep the failed run's history, then exit 7
         _io.write_json(args.out, {
             "type": "normal_form_failure",
             "reason": str(exc),
@@ -210,10 +192,7 @@ def cmd_normal_form(args, config):
         })
         _io.write_csv(history_path, _io.HISTORY_HEADER, exc.history,
                       preamble=_preamble(config, input_sha))
-        return EXIT_NO_CONVERGENCE
-    except (NeighbourhoodError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEIGHBOURHOOD
+        raise
 
     _io.write_json(args.out, _io.result_to_json(result, config=config.echo(),
                                                 input_sha256=input_sha))
@@ -223,7 +202,7 @@ def cmd_normal_form(args, config):
           f"defining residual {result.defining_residual():.3e}, "
           f"gauge residual {result.gauge_residual():.3e}")
     print(f"wrote {args.out} and {history_path}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +321,7 @@ def cmd_verify(args, config):
         print(f"{len(failed)} of {len(rows)} checks failed", file=sys.stderr)
         return 1
     print(f"all {len(rows)} checks passed")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +339,7 @@ def cmd_scan(args, config):
         desc = ", ".join(f"{key} max {val['max']:.3g}" for key, val in stats.items())
         print(f"s={s_value}: {desc}")
     print(f"wrote {len(rows)} rows to {args.out}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,24 +375,11 @@ def _load_generator(suite, spec, config):
 def cmd_slice(args, config):
     suite = _suite(config)
     input_sha = _io.file_sha256(args.infile)
-    try:
-        phi = _io.deformation_from_json(suite.basis, _io.read_json(args.infile))
-        G_field = _load_generator(suite, args.generator, config)
-    except _io.BasisMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BASIS_MISMATCH
-
-    G = flow(G_field, steps=config.steps)
-    try:
-        report = nf.slice_check(suite, phi, G, tol=config.tol,
-                                max_iter=config.max_iter, order=config.s,
-                                steps=config.steps, eps=config.eps)
-    except nf.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (NeighbourhoodError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEIGHBOURHOOD
+    phi = _io.deformation_from_json(suite.basis, _io.read_json(args.infile))
+    G = flow(_load_generator(suite, args.generator, config), steps=config.steps)
+    report = nf.slice_check(suite, phi, G, tol=config.tol,
+                            max_iter=config.max_iter, order=config.s,
+                            steps=config.steps, eps=config.eps)
 
     rows = [
         {"quantity": "y", "abs_diff": report.y_abs, "rel_diff": report.y_rel,
@@ -428,7 +394,7 @@ def cmd_slice(args, config):
               f"rel {row['rel_diff']:.3e}")
     if any(row["status"] != "pass" for row in rows):
         return 1
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +444,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config(args)
+        config = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     except ValueError as exc:
         parser.error(str(exc))
     try:
         return args.func(args, config)
-    except FlowError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLOW
-    except (OSError, _io.InputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

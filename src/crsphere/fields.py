@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralScalar
+from .basis import NonFiniteError, SpectralScalar
 from .operators import HolField, OperatorSuite
 
 
@@ -121,8 +121,8 @@ def _horizontal_from_parameter(suite: OperatorSuite, f: SpectralScalar) -> Spect
 
 def contact_from_generating(suite: OperatorSuite, g: SpectralScalar) -> ContactField:
     """Real contact field with X⌟η = g; rejects non-finite or non-real g."""
-    if not np.all(np.isfinite(g.coeffs)):
-        raise ValueError("generating function of a contact field must be finite")
+    if not np.isfinite(g.coeffs).all():
+        raise NonFiniteError("generating function of a contact field must be finite")
     if not g.is_real(1e-12 * max(1.0, g.l2_norm())):
         raise ValueError("generating function of a contact field must be real")
     g = g.real_part()

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import _core
-from .basis import Basis, SpectralScalar
+from .basis import Basis, NonFiniteError, SpectralScalar
 from .fields import ContactField
 from .operators import FieldForm01, OperatorSuite
 
@@ -81,9 +81,11 @@ class DeformationTensor:
     coefficient: SpectralScalar
 
     def __post_init__(self):
+        if not np.isfinite(self.coefficient.coeffs).all():
+            raise NonFiniteError("deformation tensor has a NaN or infinite coefficient")
         sup = self.sup_abs()
-        if not sup < 1.0:  # a NaN fails this too
-            raise ValueError(f"deformation tensor has sup |phi| = {sup:.3f}, not below 1")
+        if not sup < 1.0:
+            raise NeighbourhoodError(f"deformation tensor has sup |phi| = {sup:.3f}, not below 1")
 
     @property
     def basis(self):

@@ -27,9 +27,9 @@ class BasisMismatchError(RuntimeError):
 
 class InputError(Exception):
     """An input file cannot be decoded, has the wrong ``type`` or ``kind``,
-    lacks a required key or holds a non-finite coefficient. Deliberately not
-    a ``ValueError``, which the CLI reads as a deformation outside the solver
-    neighbourhood."""
+    lacks a required key or holds a non-finite coefficient: exit 6 in
+    ``cli.EXIT_CODES``. Not a ``ValueError``, which marks a bad argument to
+    the library and has no exit code."""
 
 
 def canonical_dumps(obj) -> str:
@@ -52,17 +52,22 @@ def file_sha256(path) -> str:
 
 
 def atomic_write_text(path, text):
+    """Write ``text`` to a synced temporary file beside ``path``, then rename
+    it onto ``path``. An ``OSError`` names ``path``, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from .basis import Basis, SpectralScalar, multiply
 from .fields import (ComplexContactField, ContactField, VField, complex_contact,
                      complex_contact_norm, contact_from_generating, pi_re)
-from .flow import (DEFAULT_FLOW_STEPS, ContactDiffeo, DeformationTensor, flow,
-                   e_remainder, pullback_deformation, pullback_scalar)
+from .flow import (DEFAULT_FLOW_STEPS, ContactDiffeo, DeformationTensor, NeighbourhoodError,
+                   e_remainder, flow, pullback_deformation, pullback_scalar)
 from .operators import FieldForm01, HolField, OperatorSuite, ScalarForm01
 
 DEFAULT_ORDER = 6
@@ -137,14 +137,15 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
 
     Raises ConvergenceError when max_iter is exhausted (unless
     ``require_convergence`` is off, in which case the partial state is
-    returned for diagnostics); neighbourhood failures from the pullback
-    propagate.
+    returned for diagnostics). Raises NeighbourhoodError when the order-
+    ``order`` norm of φ exceeds ``eps``; neighbourhood failures from the
+    pullback propagate.
     """
     basis = suite.basis
     if eps is not None:
         size = phi.fs_norm(order)
         if size > eps:
-            raise ValueError(
+            raise NeighbourhoodError(
                 f"deformation norm {size:.3e} exceeds the solver neighbourhood {eps:g}")
 
     g = basis.zero()

@@ -1,13 +1,19 @@
-"""CLI subcommands end to end: outputs, exit codes, determinism."""
+"""CLI subcommands end to end: outputs, exit codes, determinism.
+
+Everything but the console entry point runs ``main()`` in-process.
+"""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from crsphere import io
-from crsphere.cli import EXIT_FLOW, EXIT_INPUT, EXIT_NO_CONVERGENCE, main
+from conftest import cached_basis
+from crsphere import cli, io
+from crsphere.cli import EXIT_CODES, main
 from crsphere.flow import MAX_FLOW_STEPS
 
 
@@ -15,16 +21,32 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def run_cli_subprocess(*args):
-    return subprocess.run([sys.executable, "-m", "crsphere.cli", *map(str, args)],
-                          capture_output=True, text=True, timeout=120)
+def assert_fails(capsys, args, code, *messages):
+    """``main(args)`` returns ``code`` (a failure does not escape as an
+    exception) and writes exactly one stderr line, an ``error:`` line that
+    holds every message; returns that line."""
+    capsys.readouterr()  # drop the output of any set-up run
+    assert run_cli(*args) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for message in messages:
+        assert message in lines[0]
+    return lines[0]
 
 
-def assert_one_line_error(out, code):
-    assert out.returncode == code
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Traceback" not in out.stderr
+def assert_bad_flag(capsys, args, message):
+    """argparse rejects ``args`` with exit 2 and the one error line ``message``."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*args)
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [message]
+
+
+def gen_random(path, seed, *flags):
+    assert run_cli("gen", "--kind", "random", "--degree", "4", "--seed", seed,
+                   *flags, "--out", path) == 0
 
 
 def test_gen_writes_config_and_provenance(tmp_path):
@@ -75,92 +97,106 @@ def test_rerun_is_bitwise_identical(tmp_path):
     assert (tmp_path / "ra.history.csv").read_bytes() == (tmp_path / "rb.history.csv").read_bytes()
 
 
-def test_exit_code_basis_mismatch(tmp_path):
-    phi = tmp_path / "phi.json"
-    run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "0", "--out", phi)
-    assert run_cli("normal-form", "--degree", "6", "--in", phi,
-                   "--out", tmp_path / "r.json") == 4
+# ---------------------------------------------------------------------------
+# failures: one exit code and one error line each
 
 
-def test_exit_code_non_convergence(tmp_path):
+def test_exit_code_basis_mismatch(tmp_path, capsys):
     phi = tmp_path / "phi.json"
-    run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "1", "--out", phi)
-    out = run_cli_subprocess("normal-form", "--degree", "4", "--max-iter", "1",
-                             "--tol", "1e-15", "--in", phi, "--out", tmp_path / "r.json")
-    # its own code: argparse exits 2 for a bad flag
-    assert EXIT_NO_CONVERGENCE == 7
-    assert_one_line_error(out, EXIT_NO_CONVERGENCE)
+    gen_random(phi, 0)
+    assert_fails(capsys, ["normal-form", "--degree", "6", "--in", phi,
+                          "--out", tmp_path / "r.json"], 4, "does not match built basis")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_exit_code_non_convergence(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    gen_random(phi, 1)
+    assert_fails(capsys, ["normal-form", "--degree", "4", "--max-iter", "1", "--tol", "1e-15",
+                          "--in", phi, "--out", tmp_path / "r.json"], 7, "residual")
     obj = json.loads((tmp_path / "r.json").read_text())
     assert obj["type"] == "normal_form_failure"
     assert len(obj["history"]) == 2
-    out = run_cli_subprocess("slice", "--degree", "4", "--max-iter", "1", "--tol", "1e-15",
-                             "--in", phi, "--generator", "auto")
-    assert_one_line_error(out, EXIT_NO_CONVERGENCE)
+    assert len(io.read_csv(tmp_path / "r.history.csv")) == 2
+    assert_fails(capsys, ["slice", "--degree", "4", "--max-iter", "1", "--tol", "1e-15",
+                          "--in", phi, "--generator", "auto"], 7, "residual")
 
 
-def test_exit_code_oversized_input(tmp_path):
+def test_exit_code_oversized_input(tmp_path, capsys):
     phi = tmp_path / "phi.json"
     # eps controls the gen target size; a huge eps produces a tensor the
     # solver then rejects at its own default neighbourhood
-    run_cli("gen", "--kind", "random", "--degree", "4", "--eps", "0.4",
-            "--seed", "1", "--out", phi)
-    assert run_cli("normal-form", "--degree", "4", "--in", phi,
-                   "--out", tmp_path / "r.json") == 3
+    gen_random(phi, 1, "--eps", "0.4")
+    assert_fails(capsys, ["normal-form", "--degree", "4", "--in", phi,
+                          "--out", tmp_path / "r.json"], 3, "exceeds the solver neighbourhood")
 
 
-def test_exit_code_sup_phi_at_load(tmp_path):
+def test_exit_code_sup_phi_at_load(tmp_path, capsys):
     # a stored tensor with sup |phi| >= 1 is outside the neighbourhood, not
     # a malformed file
     phi = tmp_path / "phi.json"
-    run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "1", "--out", phi)
+    gen_random(phi, 1)
     obj = json.loads(phi.read_text())
     obj["coefficient"]["coeffs"] = [[1e4 * re, 1e4 * im] for re, im in obj["coefficient"]["coeffs"]]
     phi.write_text(json.dumps(obj))
-    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", phi,
-                             "--out", tmp_path / "r.json")
-    assert_one_line_error(out, 3)
-    assert "sup |phi|" in out.stderr
-
-
-def test_exit_code_flow_failure(tmp_path):
-    # a generator far above the flow norm cap fails in flow(); the CLI maps
-    # FlowError to its own code with a one-line message
-    phi = tmp_path / "phi.json"
-    run_cli("gen", "--kind", "prefab-normal-form", "--degree", "4", "--seed", "6",
-            "--out", phi)
-    out = run_cli_subprocess("slice", "--degree", "4", "--in", phi, "--generator", "auto:50")
-    assert_one_line_error(out, EXIT_FLOW)
+    assert_fails(capsys, ["normal-form", "--degree", "4", "--in", phi,
+                          "--out", tmp_path / "r.json"], 3, "sup |phi|")
 
 
 @pytest.mark.parametrize("command", [
     ["normal-form"],
     ["slice", "--generator", "auto"],
 ], ids=["normal-form", "slice"])
-def test_exit_code_missing_input(tmp_path, command):
+def test_exit_code_outside_neighbourhood_at_load(tmp_path, capsys, command):
+    # the constant 5 has sup |phi| = 5; both commands refuse it before solving
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"type": "deformation_tensor",
+                               "coefficient": io.scalar_to_json(cached_basis(4).constant(5.0))}))
+    assert_fails(capsys, [*command, "--degree", "4", "--in", phi, "--out", tmp_path / "r.out"],
+                 3, "sup |phi| = 5.000")
+    assert not (tmp_path / "r.out").exists()
+
+
+def test_exit_code_slice_basis_mismatch(tmp_path, capsys):
+    phi = tmp_path / "phi.json"
+    gen_random(phi, 0)
+    assert_fails(capsys, ["slice", "--degree", "6", "--in", phi, "--generator", "auto",
+                          "--out", tmp_path / "s.csv"], 4, "does not match built basis")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_exit_code_flow_failure(tmp_path, capsys):
+    # a generator far above the flow norm cap fails in flow()
+    phi = tmp_path / "phi.json"
+    run_cli("gen", "--kind", "prefab-normal-form", "--degree", "4", "--seed", "6",
+            "--out", phi)
+    assert_fails(capsys, ["slice", "--degree", "4", "--in", phi, "--generator", "auto:50"],
+                 5, "too large to flow")
+
+
+@pytest.mark.parametrize("command", [
+    ["normal-form"],
+    ["slice", "--generator", "auto"],
+], ids=["normal-form", "slice"])
+def test_exit_code_missing_input(tmp_path, capsys, command):
     missing = tmp_path / "absent.json"
-    out = run_cli_subprocess(*command, "--degree", "4", "--in", missing,
-                             "--out", tmp_path / "r.json")
-    assert_one_line_error(out, EXIT_INPUT)
-    assert str(missing) in out.stderr
+    assert_fails(capsys, [*command, "--degree", "4", "--in", missing,
+                          "--out", tmp_path / "r.json"], 6, str(missing))
 
 
-def test_exit_code_malformed_json(tmp_path):
+def test_exit_code_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "deformation_tensor", ')
-    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", bad,
-                             "--out", tmp_path / "r.json")
-    assert_one_line_error(out, EXIT_INPUT)
-    assert "not valid JSON" in out.stderr
+    assert_fails(capsys, ["normal-form", "--degree", "4", "--in", bad,
+                          "--out", tmp_path / "r.json"], 6, "not valid JSON")
     assert not (tmp_path / "r.json").exists()
 
 
-def test_exit_code_wrong_file_type(tmp_path):
+def test_exit_code_wrong_file_type(tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text('{"type": "junk"}')
-    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", junk,
-                             "--out", tmp_path / "r.json")
-    assert_one_line_error(out, EXIT_INPUT)
-    assert "not a deformation tensor file" in out.stderr
+    assert_fails(capsys, ["normal-form", "--degree", "4", "--in", junk,
+                          "--out", tmp_path / "r.json"], 6, "not a deformation tensor file")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -168,34 +204,26 @@ def test_exit_code_wrong_file_type(tmp_path):
     (["gen", "--kind", "random", "--eps", "inf"], "--eps"),
     (["normal-form", "--in", "absent.json", "--tol", "nan"], "--tol"),
 ], ids=["gen-eps-inf", "normal-form-tol-nan"])
-def test_config_validation_rejects_non_finite(tmp_path, command, flag):
-    out = run_cli_subprocess(*command, "--degree", "4", "--out", tmp_path / "r.json")
-    assert out.returncode == 2
-    errors = [line for line in out.stderr.splitlines() if "error:" in line]
-    assert errors == [f"crsphere: error: {flag} must be positive and finite"]
-    assert "Traceback" not in out.stderr
+def test_config_validation_rejects_non_finite(tmp_path, capsys, command, flag):
+    assert_bad_flag(capsys, [*command, "--degree", "4", "--out", tmp_path / "r.json"],
+                    f"crsphere: error: {flag} must be positive and finite")
     assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("size", ["x", "nan", "-1", "inf", "0"])
-def test_slice_auto_size_rejected_by_argparse(tmp_path, size):
+def test_slice_auto_size_rejected_by_argparse(tmp_path, capsys, size):
     # checked while parsing, before any file is read or basis is built
-    out = run_cli_subprocess("slice", "--degree", "4", "--in", tmp_path / "absent.json",
-                             "--generator", f"auto:{size}")
-    assert out.returncode == 2
-    errors = [line for line in out.stderr.splitlines() if "error:" in line]
-    assert errors == ["crsphere slice: error: argument --generator: auto size must be "
-                      f"positive and finite, got {size!r}"]
-    assert "Traceback" not in out.stderr
+    assert_bad_flag(capsys, ["slice", "--degree", "4", "--in", tmp_path / "absent.json",
+                             "--generator", f"auto:{size}"],
+                    "crsphere slice: error: argument --generator: auto size must be "
+                    f"positive and finite, got {size!r}")
 
 
 @pytest.mark.parametrize("kind", ["random", "prefab-normal-form"])
-def test_exit_code_gen_too_large_for_neighbourhood(tmp_path, kind):
+def test_exit_code_gen_too_large_for_neighbourhood(tmp_path, capsys, kind):
     # a huge --eps is a valid config; the drawn tensor then has sup |phi| >= 1
-    out = run_cli_subprocess("gen", "--kind", kind, "--degree", "6", "--eps", "1000",
-                             "--out", tmp_path / "phi.json")
-    assert_one_line_error(out, 3)
-    assert "sup |phi|" in out.stderr
+    assert_fails(capsys, ["gen", "--kind", kind, "--degree", "6", "--eps", "1000",
+                          "--out", tmp_path / "phi.json"], 3, "sup |phi|")
     assert not (tmp_path / "phi.json").exists()
 
 
@@ -216,31 +244,44 @@ def _nan_coefficient(obj):
     (_drop_degree, "missing key 'degree'"),
     (_nan_coefficient, "NaN or infinite"),
 ], ids=["missing-coefficient", "missing-degree", "nan-coefficient"])
-def test_exit_code_bad_deformation_file(tmp_path, edit, message):
+def test_exit_code_bad_deformation_file(tmp_path, capsys, edit, message):
     phi = tmp_path / "phi.json"
-    run_cli("gen", "--kind", "random", "--degree", "4", "--seed", "0", "--out", phi)
+    gen_random(phi, 0)
     obj = json.loads(phi.read_text())
     edit(obj)
     phi.write_text(json.dumps(obj))  # json.dumps writes a NaN as the bare token NaN
-    out = run_cli_subprocess("normal-form", "--degree", "4", "--in", phi,
-                             "--out", tmp_path / "r.json")
-    assert_one_line_error(out, EXIT_INPUT)
-    assert message in out.stderr
+    assert_fails(capsys, ["normal-form", "--degree", "4", "--in", phi,
+                          "--out", tmp_path / "r.json"], 6, message)
     assert not (tmp_path / "r.json").exists()
 
 
-def test_exit_code_unwritable_out(tmp_path):
-    out = run_cli_subprocess("gen", "--kind", "random", "--degree", "4",
-                             "--out", tmp_path / "no-such-dir" / "phi.json")
-    assert_one_line_error(out, EXIT_INPUT)
+def test_exit_code_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "phi.json"
+    line = assert_fails(capsys, ["gen", "--kind", "random", "--degree", "4", "--out", out],
+                        6, str(out))
+    assert ".tmp-" not in line
+    assert not out.parent.exists()
+
+
+def _listed_codes(text):
+    """The codes that open the lines of the list after ``Exit codes:``."""
+    block = text.split("Exit codes:\n", 1)[1].split("\n\n", 1)[0]
+    return sorted(int(code) for code in re.findall(r"^(?:- )?(\d+) ", block, re.M))
+
+
+def test_exit_code_table_is_documented():
+    classes = list(EXIT_CODES)
+    assert not [(a, b) for a in classes for b in classes if a is not b and issubclass(a, b)]
+    codes = sorted({0, 1, 2, *EXIT_CODES.values()})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert _listed_codes(readme) == codes
+    assert _listed_codes(cli.__doc__) == codes
 
 
 @pytest.mark.parametrize("steps", [0, MAX_FLOW_STEPS + 1])
 def test_config_validation_rejects_steps_out_of_range(steps, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--degree", "4", "--steps", str(steps)])
-    assert exc.value.code == 2
-    assert f"--steps must be between 1 and {MAX_FLOW_STEPS}" in capsys.readouterr().err
+    assert_bad_flag(capsys, ["verify", "--degree", "4", "--steps", steps],
+                    f"crsphere: error: --steps must be between 1 and {MAX_FLOW_STEPS}")
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -253,10 +294,7 @@ def test_config_validation_rejects_seed_and_s_out_of_range(flags, message, tmp_p
         argv = [command, "--degree", "4", *flags]
         if command == "gen":
             argv += ["--kind", "random", "--out", str(tmp_path / "phi.json")]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        assert_bad_flag(capsys, argv, f"crsphere: error: {message}")
 
 
 def test_verify_passes_and_writes_csv(tmp_path):
@@ -289,9 +327,9 @@ def test_scan_writes_documented_columns(tmp_path):
     assert len(rows) == 30  # 10 seeds x 3 orders
 
 
-def test_config_validation_rejects_bad_degree():
-    with pytest.raises(SystemExit):
-        main(["verify", "--degree", "3"])
+def test_config_validation_rejects_bad_degree(capsys):
+    assert_bad_flag(capsys, ["verify", "--degree", "3"],
+                    "crsphere: error: --degree must be at least 4")
 
 
 def test_console_entry_point_runs():

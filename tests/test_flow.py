@@ -8,6 +8,7 @@ import pytest
 
 from crsphere.fields import ContactField, complex_contact_norm, contact_from_generating
 from crsphere import _core
+from crsphere.basis import NonFiniteError
 from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TOL, ContactDiffeo, DeformationTensor,
                            FlowError, NeighbourhoodError, _flow_columns, _frame_maps,
                            _start_state, compose, e_remainder, flow, pullback_deformation,
@@ -270,10 +271,11 @@ def test_pullback_respects_composition(suite6):
 
 def test_deformation_tensor_size_guard(suite6):
     big = suite6.basis.constant(1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(NeighbourhoodError):
         DeformationTensor(big)
-    with pytest.raises(ValueError):
-        DeformationTensor(suite6.basis.constant(float("nan")))
+    for value in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            DeformationTensor(suite6.basis.constant(value))
 
 
 def test_pullback_matches_explicit_frame_pushforward(suite6):

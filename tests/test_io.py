@@ -69,7 +69,7 @@ def test_contact_field_rejects_wrong_kind(suite6):
 
 
 def test_read_json_rejects_malformed_as_input_error(tmp_path):
-    # not a ValueError: the CLI maps ValueError to "outside the neighbourhood"
+    # not a ValueError, which marks a bad library argument and has no exit code
     assert not issubclass(io.InputError, ValueError)
     path = tmp_path / "bad.json"
     path.write_text("[1, 2")

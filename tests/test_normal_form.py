@@ -5,7 +5,7 @@ import pytest
 
 from conftest import cached_suite
 from crsphere.fields import complex_contact_norm, contact_from_generating
-from crsphere.flow import DeformationTensor, flow, pullback_deformation
+from crsphere.flow import DeformationTensor, NeighbourhoodError, flow, pullback_deformation
 from crsphere import _core, normal_form as nf
 
 
@@ -159,7 +159,7 @@ def test_convergence_error_carries_history(suite6):
 
 def test_eps_guard(suite6):
     phi = DeformationTensor(suite6.basis.constant(0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(NeighbourhoodError):
         nf.solve(suite6, phi, eps=1e-2)
 
 

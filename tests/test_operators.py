@@ -18,6 +18,7 @@ from conftest import cached_suite
 from test_basis import frame_derivative_fd
 
 from crsphere import frame_derivative
+from crsphere.basis import NonFiniteError
 from crsphere.operators import FieldForm01, HolField, ScalarForm01
 
 
@@ -145,6 +146,13 @@ def test_pi_re_solver_solves_its_system(suite6):
     back = u + 0.25 * suite6.delta_Q(u)
     assert (back - rhs).l2_norm() < 1e-9
     assert u.is_real(1e-10)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pi_re_solve_rejects_non_finite(suite6, value):
+    # the diagonal is at least 1, so a finite right-hand side is the whole guard
+    with pytest.raises(NonFiniteError):
+        suite6.pi_re_solve(suite6.basis.constant(value))
 
 
 def test_combined_homotopy_on_h_valued_forms(suite6):
