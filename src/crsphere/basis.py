@@ -49,6 +49,11 @@ from . import _core
 from .geometry import QuadratureGrid, ReferenceGeometry
 
 
+# moduli up to this bound square and sum without overflow: each square stays
+# below 1e300, and floats reach 1.8e308
+_SQUARE_LIMIT = 1e150
+
+
 class NonFiniteError(ValueError):
     """Coefficients or values that hold a NaN or an infinity."""
 
@@ -134,6 +139,7 @@ class Basis:
         self.frame_z_matrix = z = (-zb.T).tocsr()
         self._word_step = (z.multiply(z) + zb.multiply(zb)).T.tocsr()
         self._fs_levels = [np.ones(self.size)]  # w_0, w_1, ... of fs_norm2
+        self._node_tables = None  # built by the first moving flow
         self.basis_id = self._content_hash()
 
     # -- construction ----------------------------------------------------
@@ -187,6 +193,13 @@ class Basis:
         return _core.eval_bilinear(np.asarray(z1, dtype=complex).ravel(),
                                    np.asarray(z2, dtype=complex).ravel(),
                                    self.exponents, self.monomial_coefficients(column_matrix))
+
+    def node_tables(self):
+        """The near-node tables of this basis (``_core.NodeTables``: lowering
+        operators and radial scatter), built on first use."""
+        if self._node_tables is None:
+            self._node_tables = _core.NodeTables(self.exponents, self.grid.u, self.grid.n_phi)
+        return self._node_tables
 
     def synthesize(self, coeffs):
         """Values at the quadrature nodes of the coefficient vector ``coeffs``:
@@ -318,6 +331,11 @@ class SpectralScalar:
         return float(np.max(np.abs(self.coeffs - self.conj().coeffs), initial=0.0)) <= tol
 
     def l2_norm(self):
+        """The Euclidean norm of the coefficients; above _SQUARE_LIMIT they are
+        scaled by the largest modulus first, so that no square overflows."""
+        peak = float(np.abs(self.coeffs).max(initial=0.0))
+        if _SQUARE_LIMIT < peak < np.inf:
+            return peak * float(np.linalg.norm(self.coeffs / peak))
         return float(np.linalg.norm(self.coeffs))
 
     def fs_norm(self, order):

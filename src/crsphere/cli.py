@@ -40,11 +40,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import _core
 from . import io as _io
 from . import normal_form as nf
 from .basis import build_basis
 from .fields import complex_contact, complex_contact_norm, contact_from_generating, pi_im, pi_re
-from .flow import DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, FlowError, NeighbourhoodError, flow
+from .flow import (DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, NEAR_NODE_MAX_ORDER, FlowError,
+                   NeighbourhoodError, flow)
 from .geometry import monomial_moment
 from .operators import FieldForm01, HolField, OperatorSuite
 
@@ -213,7 +215,8 @@ def identity_battery(suite: OperatorSuite, rng):
     """Exactness checks for the CLI table; returns rows with pass/fail status.
 
     Covers the frame normalizations, quadrature exactness through degree
-    2N+4, the three homotopy splittings, and the real-part projection.
+    2N+4, the three homotopy splittings, the real-part projection, and the
+    near-node Taylor table against the point kernel.
     Residuals are absolute except where noted.
     """
     basis = suite.basis
@@ -303,6 +306,23 @@ def identity_battery(suite: OperatorSuite, rng):
     add("pi_re_identity", (split - zf.parameter).l2_norm(), 1e-9)
     add("pi_re_is_real", x.generating.imag_part().l2_norm(), 1e-10)
     add("pi_im_certificate", y.certificate, 1e-9)
+
+    # near-node evaluation: the Taylor table of a random scalar, summed at
+    # nodes displaced by up to 1e-7, against the point kernel there; what its
+    # certified truncation bound does not cover, relative to the scalar's
+    # monomial mass (the scale of both sums' roundoff)
+    column = basis.monomial_coefficients(basis.random_scalar(rng).coeffs)[:, None]
+    size = 1e-7 * rng.random((2, grid.n_nodes))
+    d1, d2 = size * np.exp(2j * np.pi * rng.random((2, grid.n_nodes)))
+    order = NEAR_NODE_MAX_ORDER
+    table = _core.NodeTaylor(basis.node_tables().taylor(column, order), order)
+    exact = _core.eval_poly(z1 + d1, z2 + d2, basis.exponents, column)[:, 0]
+    err = np.abs(table(d1, d2)[0] - exact)
+    rho = max(float(np.abs(d1).max()), float(np.abs(d2).max()))
+    bound = _core.truncation_bound(_core.truncation_weights(basis.exponents, column, order),
+                                   rho, order, basis.degree)[0]
+    add("near_node_taylor",
+        max(float(err.max()) - float(bound), 0.0) / float(np.abs(column).sum()), 1e-13)
     return rows
 
 

@@ -224,6 +224,8 @@ def result_to_json(result, config=None, input_sha256=None):
         "norm_report": result.norm_report(),
         "max_truncation_mass": float(result.max_truncation_mass()),
         "max_contact_ratio": float(result.max_contact_ratio()),
+        "max_kernel_fallbacks": int(result.max_kernel_fallbacks()),
+        "max_node_displacement": float(result.max_node_displacement()),
         "history": result.history,
     }
     if config is not None:
@@ -234,4 +236,5 @@ def result_to_json(result, config=None, input_sha256=None):
 
 
 HISTORY_HEADER = ["iter", "chi_norm", "xi_norm", "trunc_mass",
-                  "flow_rhs_evals", "flow_error_estimate", "contact_ratio"]
+                  "flow_rhs_evals", "flow_error_estimate", "contact_ratio",
+                  "kernel_fallbacks", "max_node_displacement"]

@@ -123,11 +123,21 @@ class NormalFormResult:
             "psi_norm": [self.psi.fs_norm(s) for s in orders],
         }
 
+    def _history_max(self, key):
+        return max((row[key] for row in self.history), default=0)
+
     def max_truncation_mass(self):
-        return max((row["trunc_mass"] for row in self.history), default=0.0)
+        return self._history_max("trunc_mass")
 
     def max_contact_ratio(self):
-        return max((row["contact_ratio"] for row in self.history), default=0.0)
+        return self._history_max("contact_ratio")
+
+    def max_kernel_fallbacks(self):
+        """The most point-kernel calls of one iteration's flow and φ∘F."""
+        return self._history_max("kernel_fallbacks")
+
+    def max_node_displacement(self):
+        return self._history_max("max_node_displacement")
 
 
 def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
@@ -172,6 +182,8 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
             "flow_rhs_evals": F.rhs_evals,
             "flow_error_estimate": F.error_estimate,
             "contact_ratio": F.contact_ratio,
+            "kernel_fallbacks": F.kernel_fallbacks,
+            "max_node_displacement": F.max_node_displacement,
         })
         if chi_norm + xi_norm < tol:
             converged = True

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,19 @@ def test_exit_code_flow_failure(tmp_path, capsys):
                  5, "too large to flow")
 
 
+def test_exit_code_flow_failure_overflowing_generator(tmp_path, capsys):
+    # squaring the coefficients of a generator of size 1e308 overflows; the
+    # size check measures it scaled by its largest coefficient, so no numpy
+    # warning joins the one error line
+    phi = tmp_path / "phi.json"
+    run_cli("gen", "--kind", "random", "--degree", "6", "--seed", "1", "--out", phi)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_fails(capsys, ["slice", "--degree", "6", "--in", phi, "--generator", "auto:1e308"],
+                     5, "too large to flow")
+    assert caught == []
+
+
 @pytest.mark.parametrize("command", [
     ["normal-form"],
     ["slice", "--generator", "auto"],
@@ -302,7 +316,7 @@ def test_verify_passes_and_writes_csv(tmp_path):
     assert run_cli("verify", "--degree", "4", "--seed", "5", "--out", out) == 0
     rows = io.read_csv(out)
     assert all(row["status"] == "pass" for row in rows)
-    assert len(rows) >= 12
+    assert len(rows) == 17 and rows[-1]["check"] == "near_node_taylor"
 
 
 def test_slice_auto_generator(tmp_path):

@@ -144,7 +144,8 @@ def test_atomic_write_replaces(tmp_path):
 
 def test_csv_roundtrip_with_preamble(tmp_path):
     path = tmp_path / "t.csv"
-    flow_cols = {"flow_rhs_evals": 0, "flow_error_estimate": 0.0, "contact_ratio": 0.0}
+    flow_cols = {"flow_rhs_evals": 0, "flow_error_estimate": 0.0, "contact_ratio": 0.0,
+                 "kernel_fallbacks": 0, "max_node_displacement": 0.0}
     rows = [{"iter": 0, "chi_norm": 0.5, "xi_norm": 0.0, "trunc_mass": 1e-16, **flow_cols},
             {"iter": 1, "chi_norm": 1e-12, "xi_norm": 2e-18, "trunc_mass": 0.0, **flow_cols}]
     io.write_csv(path, io.HISTORY_HEADER, rows, preamble=["config={}"])

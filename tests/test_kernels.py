@@ -105,3 +105,62 @@ def test_eval_columns_memory_peak():
 
 def test_kernel_implementation_is_numpy():
     assert crsphere.kernel_implementation == "numpy"
+
+
+# -- near-node evaluation: Taylor tables at the grid nodes
+
+
+@pytest.mark.parametrize("degree", [6, 8, 12])
+def test_node_values_match_point_kernel(degree):
+    # the radial scatter and one batched inverse FFT give the node values of
+    # monomial columns; the point kernel at the nodes and the basis synthesis
+    # of the same coefficients are the oracles
+    basis = cached_basis(degree)
+    rng = np.random.default_rng(900 + degree)
+    c = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
+    columns = basis.monomial_coefficients(c)
+    got = basis.node_tables().values(columns)
+    expect = _core.eval_poly(basis.grid.z1, basis.grid.z2, basis.exponents, columns).T
+    scale = np.abs(expect).max()
+    assert np.abs(got - expect).max() < 1e-12 * scale
+    assert np.abs(got[0] - basis.synthesize(c[:, 0])).max() < 1e-12 * scale
+
+
+def test_multi_indices_order():
+    multi = _core.multi_indices(2)
+    assert len(multi) == 15 and multi[:5].tolist() == [[0] * 4] + np.eye(4, dtype=int).tolist()
+    assert np.array_equal(_core.multi_indices(1), multi[:5])
+    assert (np.diff(multi.sum(axis=1)) >= 0).all()
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+def test_taylor_table_at_displaced_nodes(degree):
+    # Σ_β T_β(x) δ^β against the point kernel at x + δ, for nodes displaced by
+    # 1e-8 to 1e-4 and orders 0 to 3: the error never exceeds the certified
+    # bound (plus the roundoff of the two sums), and wherever the bound passes
+    # the φ∘F criterion of the flows it is within 1e-12 relative
+    from crsphere.flow import NEAR_NODE_TOL
+    basis = cached_basis(degree)
+    tables = basis.node_tables()
+    rng = np.random.default_rng(910 + degree)
+    f = basis.random_scalar(rng, max_degree=degree - 2)
+    column = basis.monomial_coefficients(f.coeffs)[:, None]
+    n = basis.grid.n_nodes
+    passed = truncated = 0
+    for size in (1e-8, 1e-6, 1e-4):
+        d1, d2 = size * np.exp(2j * np.pi * rng.random((2, n))) * rng.random((2, n))
+        rho = max(np.abs(d1).max(), np.abs(d2).max())
+        z1, z2 = basis.grid.z1 + d1, basis.grid.z2 + d2
+        exact = _core.eval_poly(z1, z2, basis.exponents, column)[:, 0]
+        scale = np.abs(exact).max()
+        for order in range(4):
+            table = _core.NodeTaylor(tables.taylor(column, order), order)
+            err = np.abs(table(d1, d2)[0] - exact).max()
+            weights = _core.truncation_weights(basis.exponents, column, order)
+            bound = _core.truncation_bound(weights, rho, order, degree)[0]
+            assert err <= bound + 1e-13 * scale
+            if bound <= NEAR_NODE_TOL * np.abs(f.values()).max():
+                passed += 1
+                assert err <= 1e-12 * scale
+            truncated += err > 1e-10 * scale
+    assert passed >= 4 and truncated >= 4
