@@ -45,7 +45,7 @@ from . import io as _io
 from . import normal_form as nf
 from .basis import build_basis
 from .fields import complex_contact, complex_contact_norm, contact_from_generating, pi_im, pi_re
-from .flow import (DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, NEAR_NODE_MAX_ORDER, FlowError,
+from .flow import (COMPOSED_TABLE_ORDER, DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, FlowError,
                    NeighbourhoodError, flow)
 from .geometry import monomial_moment
 from .operators import FieldForm01, HolField, OperatorSuite
@@ -314,7 +314,7 @@ def identity_battery(suite: OperatorSuite, rng):
     column = basis.monomial_coefficients(basis.random_scalar(rng).coeffs)[:, None]
     size = 1e-7 * rng.random((2, grid.n_nodes))
     d1, d2 = size * np.exp(2j * np.pi * rng.random((2, grid.n_nodes)))
-    order = NEAR_NODE_MAX_ORDER
+    order = COMPOSED_TABLE_ORDER
     table = _core.NodeTaylor(basis.node_tables().taylor(column, order), order)
     exact = _core.eval_poly(z1 + d1, z2 + d2, basis.exponents, column)[:, 0]
     err = np.abs(table(d1, d2)[0] - exact)

@@ -30,20 +30,24 @@ the image, so the ratio stays at roundoff whatever the step count.
 
 Near-node evaluation. A solver flow moves each node by a few 1e-6 at most,
 so the right-hand side does not evaluate the field at the images. Once per
-flow it builds the Taylor table of its 10 kernel rows at the nodes
-(``_core.NodeTaylor``, via ``_FlowField``) at the lowest order K whose
-certified truncation bound, carried through the right-hand side, stays within
-NEAR_NODE_TOL = FLOW_TOL / 2 at an a priori bound on the displacement; each
-call then sums the table at its actual displacement δ = y − x, after checking
-the bound again at max |δ|. A call that fails the check, or a flow for which
-no order up to NEAR_NODE_MAX_ORDER passes, takes the point kernel
-``_core.eval_poly`` instead, and ``ContactDiffeo.kernel_fallbacks`` counts it.
-The table changes each right-hand side by at most NEAR_NODE_TOL, so the
-state by at most Σ|bᵢ| NEAR_NODE_TOL ≈ 0.8 FLOW_TOL over time 1. The bound is
-pessimistic: on the solver's flows at N = 6 to 12 the states differ from the
-point kernel's by at most 1.2e-15. f∘F on a moving flow is the Taylor table
-of f at the nodes in the same way, checked relative to max |f| at the nodes,
-with ``_core.eval_bilinear`` as its fallback.
+flow it builds the order-1 Taylor table of its 10 kernel rows at the nodes
+(``_core.NodeTaylor``, via ``_FlowField``) if the table's certified
+truncation bound, carried through the right-hand side, stays within
+NEAR_NODE_TOL at an a priori bound on the displacement; each call then sums
+the table at its actual displacement δ = y − x, after checking the bound
+again at max |δ|. A call that fails the check, or a flow that builds no
+table, takes the point kernel ``_core.eval_poly`` instead, and
+``ContactDiffeo.kernel_fallbacks`` counts it. The table changes each
+right-hand side by at most NEAR_NODE_TOL, so the unit-size state by at most
+Σ|bᵢ| NEAR_NODE_TOL ≈ 0.8 NEAR_NODE_TOL over time 1. That shift passes into
+the pulled-back tensor unchanged, so a solve's outputs move by about
+30 NEAR_NODE_TOL relative (measured on random solves at N = 6 and 8), which
+sets NEAR_NODE_TOL = 1e-14: within 1e-12 of the point kernel's outputs. The
+solver's random fields pass at N ≥ 8; those at N = 6, which move nodes ten
+times farther, and pullback fields, whose bounds sit near 1e-13, take the
+kernel. f∘F on a moving flow is the order-2 Taylor table of f at the nodes
+in the same way, checked relative to max |f| at the nodes, with
+``_core.eval_bilinear`` as its fallback.
 
 Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 
@@ -79,11 +83,13 @@ FLOW_NORM_CAP = 8.0
 FLOW_NORM_ORDER = 6
 # near-node evaluation: the largest certified error that a Taylor table may
 # add to a right-hand side (absolute: the state is of unit size) or to f∘F
-# (relative to max |f| at the nodes), and the highest table order. An order-3
-# table of g and h (70 transforms) cost more than the point kernel's seven
-# calls of a flow at N = 8, so a flow that would need one takes the kernel.
-NEAR_NODE_TOL = 0.5 * FLOW_TOL
-NEAR_NODE_MAX_ORDER = 2
+# (relative to max |f| at the nodes), and the table orders. An order-2 table
+# of the rows (70 transforms) cost more than the point kernel's seven calls
+# of a flow at N = 8, and an order-1 table of f∘F never passed on a solver
+# flow, so neither order is searched.
+NEAR_NODE_TOL = 1e-14
+FLOW_TABLE_ORDER = 1
+COMPOSED_TABLE_ORDER = 2
 _IDENTITY_CUTOFF = 1e-13
 _ROW_COMPRESS_REL = 1e-13
 _MIN_ABS_A = 0.1
@@ -182,12 +188,11 @@ class _FlowField:
     rows and columns (``_flow_columns``), and the Taylor table of g and h at
     the nodes.
 
-    The table holds the 10 rows at order K. It is built from the table of g
-    and h alone at order K + 1, since the derivative rows are their first
-    derivatives: ∂^γ ∂_v g / γ! = (γ_v + 1) T_{γ+e_v}. K is the lowest order
-    with K + 1 ≤ NEAR_NODE_MAX_ORDER whose bound passes NEAR_NODE_TOL at the
-    a priori displacement D. When none passes there is no table (``table``
-    is None) and every call takes the point kernel.
+    The table holds the 10 rows at order FLOW_TABLE_ORDER = 1. It is built
+    from the order-2 table of g and h alone, since the derivative rows are
+    their first derivatives: ∂^γ ∂_v g / γ! = (γ_v + 1) T_{γ+e_v}. It is built
+    only when its bound passes NEAR_NODE_TOL at the a priori displacement D;
+    otherwise ``table`` is None and every call takes the point kernel.
 
     D bounds max |y − x| over the trajectories, started within ``reach`` of
     their nodes x. The velocity v = 2ig z + h (z̄₂, −z̄₁) is two orthogonal
@@ -214,23 +219,20 @@ class _FlowField:
         lipschitz = 2.0 * l1[0] + l1[1] + 2.0 * l1[2:6].sum() + l1[6:].sum()
         if not lipschitz < 1.0:
             return
+        self._weights = _core.truncation_weights(self.exps, self.cols, FLOW_TABLE_ORDER)
         rho = (reach + speed) / (1.0 - lipschitz)
-        for order in range(NEAR_NODE_MAX_ORDER):
-            self._weights = _core.truncation_weights(self.exps, self.cols, order)
-            self._order = order
-            if self._error_bound(rho, 2.0 * (1.0 + rho)) <= NEAR_NODE_TOL:
-                self.table = _core.NodeTaylor(self._values(basis, order), order)
-                break
+        if self._error_bound(rho, 2.0 * (1.0 + rho)) <= NEAR_NODE_TOL:
+            self.table = _core.NodeTaylor(self._values(), FLOW_TABLE_ORDER)
 
-    def _values(self, basis, order):
-        """The (terms, 10, n) table at ``order`` from that of g and h at order + 1."""
-        tables = basis.node_tables()
-        gh = np.zeros((len(basis.exponents), 2), dtype=complex)
+    def _values(self):
+        """The (5, 10, n) order-1 table from the order-2 table of g and h."""
+        tables = self.basis.node_tables()
+        gh = np.zeros((len(self.basis.exponents), 2), dtype=complex)
         gh[tables.position[tuple(self.exps.T)]] = self.cols[:, :2]
-        upper = tables.taylor(gh, order + 1)
-        multi = _core.multi_indices(order + 1)
+        upper = tables.taylor(gh, FLOW_TABLE_ORDER + 1)
+        multi = _core.multi_indices(FLOW_TABLE_ORDER + 1)
         index = {beta: t for t, beta in enumerate(map(tuple, multi.tolist()))}
-        terms = len(_core.multi_indices(order))
+        terms = len(_core.multi_indices(FLOW_TABLE_ORDER))
         values = np.empty((terms, 10, upper.shape[2]), dtype=complex)
         values[:, :2] = upper[:terms]
         for t, beta in enumerate(multi[:terms].tolist()):
@@ -243,8 +245,8 @@ class _FlowField:
         return values
 
     def _error_bound(self, rho, scale):
-        """``_rhs_error_bound`` of the rows, summed to order K, at displacement ``rho``."""
-        return _rhs_error_bound(_core.truncation_bound(self._weights, rho, self._order,
+        """``_rhs_error_bound`` of the table's rows at displacement ``rho``."""
+        return _rhs_error_bound(_core.truncation_bound(self._weights, rho, FLOW_TABLE_ORDER,
                                                        self.basis.degree), scale)
 
     def rows(self, y):
@@ -276,13 +278,14 @@ def _rhs(field: _FlowField, y):
     """dy at the state y (8, n): the velocity at the images, then dv of each
     pushed vector; rows 2–5 and 6–9 of the field's rows are dg and dh."""
     w = field.rows(y)
+    yb = np.conj(y)
     g2, h = 2j * w[0], w[1]
-    iz1, iz2, zb1, zb2 = 2j * y[0], 2j * y[1], np.conj(y[0]), np.conj(y[1])
+    iz1, iz2, zb1, zb2 = 2j * y[0], 2j * y[1], yb[0], yb[1]
     dy = np.empty_like(y)
     dy[0] = g2 * y[0] + h * zb2
     dy[1] = g2 * y[1] - h * zb1
     for k, b in _PUSHED:
-        f1, f2, f3, f4 = y[k], y[k + 1], np.conj(y[b]), np.conj(y[b + 1])
+        f1, f2, f3, f4 = y[k], y[k + 1], yb[b], yb[b + 1]
         dg = w[2] * f1 + w[3] * f2 + w[4] * f3 + w[5] * f4
         dh = w[6] * f1 + w[7] * f2 + w[8] * f3 + w[9] * f4
         dy[k] = iz1 * dg + zb2 * dh + g2 * f1 + h * f4
@@ -306,17 +309,11 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 
 def _advance(y, dt, weights, stages):
-    """y + dt Σ wᵢ kᵢ over the stages kᵢ, added in stage order into one new
-    array."""
-    out = None
+    """y + dt Σ wᵢ kᵢ over the stages kᵢ."""
     for w, k in zip(weights, stages):
         if w:
-            term = (dt * w) * k
-            if out is None:
-                out = y + term
-            else:
-                out += term
-    return out
+            y = y + (dt * w) * k
+    return y
 
 
 def _integrate(field, y, steps, estimate=False):
@@ -481,22 +478,20 @@ def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
 
 def _composed_values(f: SpectralScalar, F: ContactDiffeo):
     """f ∘ F at the nodes: the FFT synthesis for the identity; otherwise the
-    Taylor table of f at the nodes, at the lowest order up to
-    NEAR_NODE_MAX_ORDER whose bound at F's displacement is at most
-    NEAR_NODE_TOL times max |f| over the nodes, and f evaluated at F's images
-    (counted on F) when none is."""
+    order-2 Taylor table of f at the nodes, summed at F's displacement when
+    its bound there is at most NEAR_NODE_TOL times max |f| over the nodes
+    (its order-0 row), else f evaluated at F's images (counted on F)."""
     if F.is_identity:
         return f.values()
     basis = f.basis
     d1, d2, rho = _node_displacement(basis, F.state)
     F.max_node_displacement = max(F.max_node_displacement, rho)
     column = basis.monomial_coefficients(f.coeffs)[:, None]
-    tol = NEAR_NODE_TOL * float(np.abs(f.values()).max())
-    for order in range(NEAR_NODE_MAX_ORDER + 1):
-        weights = _core.truncation_weights(basis.exponents, column, order)
-        if _core.truncation_bound(weights, rho, order, basis.degree)[0] <= tol:
-            table = _core.NodeTaylor(basis.node_tables().taylor(column, order), order)
-            return table(d1, d2)[0]
+    values = basis.node_tables().taylor(column, COMPOSED_TABLE_ORDER)
+    weights = _core.truncation_weights(basis.exponents, column, COMPOSED_TABLE_ORDER)
+    bound = _core.truncation_bound(weights, rho, COMPOSED_TABLE_ORDER, basis.degree)[0]
+    if bound <= NEAR_NODE_TOL * float(np.abs(values[0]).max()):
+        return _core.NodeTaylor(values, COMPOSED_TABLE_ORDER)(d1, d2)[0]
     F.kernel_fallbacks += 1
     return f.eval(F.images[:, 0], F.images[:, 1])
 

@@ -75,23 +75,35 @@ def test_prefab_solve_evaluates_no_polynomial(suite6, monkeypatch):
     assert result.converged and result.iterations >= 2
 
 
-def test_random_solve_first_iteration_evaluates_no_polynomial(suite6, monkeypatch):
+def test_random_solve_first_iteration_evaluates_no_polynomial(suite8, monkeypatch):
     # iteration 0 runs at X = 0, the identity; the later ones flow a tiny
     # field, whose right-hand sides and φ∘F are sums of Taylor tables at the
-    # nodes, so no iteration of the whole solve calls a point kernel
+    # nodes, so no iteration of the whole solve calls a point kernel (at
+    # N = 8, where the solver's random fields pass the near-node bound)
     def refuse(*args):
         raise AssertionError("a random solve called a point kernel")
 
     for name in KERNELS:
         monkeypatch.setattr(_core, name, refuse)
-    phi = nf.random_deformation(suite6.basis, np.random.default_rng(84), 2e-3)
-    first = nf.solve(suite6, phi, max_iter=0, require_convergence=False)
+    phi = nf.random_deformation(suite8.basis, np.random.default_rng(84), 5e-3)
+    first = nf.solve(suite8, phi, max_iter=0, require_convergence=False)
     assert len(first.history) == 1
-    result = nf.solve(suite6, phi)
+    result = nf.solve(suite8, phi)
     assert result.converged and result.iterations >= 2
     assert [row["kernel_fallbacks"] for row in result.history] == [0] * result.iterations
     assert result.max_kernel_fallbacks() == 0
     assert result.max_node_displacement() > 0.0
+
+
+def test_random_solve_at_n6_counts_its_fallbacks(suite6):
+    # the solver's random fields at N = 6 move nodes past the near-node bound,
+    # so their flows take the point kernel and say so in every moving row
+    phi = nf.random_deformation(suite6.basis, np.random.default_rng(84), 2e-3)
+    result = nf.solve(suite6, phi)
+    assert result.converged and result.iterations >= 2
+    fallbacks = [row["kernel_fallbacks"] for row in result.history]
+    assert fallbacks[0] == 0 and min(fallbacks[1:]) >= 7
+    assert result.max_kernel_fallbacks() == max(fallbacks)
 
 
 def test_history_carries_each_iterations_flow(suite6):
