@@ -49,8 +49,8 @@ one sparse radial scatter. A monomial at the node (u_r, φ1, φ2) is
 r1^{a1+b1} r2^{a2+b2} e^{i(a1−b1)φ1} e^{i(a2−b2)φ2}, r1 = sqrt(1 − u_r),
 r2 = sqrt(u_r), so the scatter puts r1^{a1+b1} r2^{a2+b2} on the torus slot
 (a1 − b1, a2 − b2) of each radial node, and one batched inverse 2-D FFT gives
-the node values of every column at once (the pattern of
-``Basis.synthesize``; |a1 − b1| ≤ N < n_phi/2, so no slot aliases).
+the node values of every column at once (``torus_values``, which
+``Basis.synthesize`` uses too; |a1 − b1| ≤ N < n_phi/2, so no slot aliases).
 ``NodeTables.taylor`` builds T_β for |β| ≤ K, a ``NodeTaylor`` sums it at
 x + δ, and ``truncation_bound`` bounds what the terms |β| > K leave out.
 ``Basis.node_tables`` builds the tables on first use, so a run whose flows
@@ -206,6 +206,27 @@ def truncation_bound(weights, rho, order, degree):
     return rho ** (order + 1) * (1.0 + rho) ** max(degree - order - 1, 0) * weights
 
 
+def torus_scatter(radial, k1, k2, n_phi):
+    """The sparse (n_radial · n_phi², m) matrix with radial[r, j] at row (r, torus
+    slot of (k1[j], k2[j])), the layout of ``torus_values``; built transposed, as CSR."""
+    n_radial, m = radial.shape
+    rows = (np.arange(n_radial) * n_phi + (k1 % n_phi)[:, None]) * n_phi + (k2 % n_phi)[:, None]
+    indptr = np.arange(0, rows.size + 1, n_radial)
+    return sparse.csr_array((radial.T.ravel(), rows.ravel(), indptr),
+                            shape=(m, n_radial * n_phi * n_phi)).T
+
+
+def torus_values(scatter, columns, n_phi):
+    """Node values (n,) or (k, n) of a vector (m,) or columns (m, k): the modes
+    ``scatter @ columns`` per radial node and torus slot, then an inverse 2-D
+    FFT as two in-place passes (``ifft2`` allocates two more buffers)."""
+    values = np.ascontiguousarray((scatter @ columns).T, dtype=complex)
+    modes = values.reshape(values.shape[:-1] + (-1, n_phi, n_phi))
+    for axis in (-1, -2):
+        np.fft.ifft(modes, axis=axis, norm="forward", out=modes)
+    return values
+
+
 class NodeTables:
     """The per-basis tables of near-node evaluation (see the module docstring)
     for the monomial list ``exponents`` and the grid with radial nodes ``u``
@@ -214,9 +235,9 @@ class NodeTables:
     The lowering operator of variable v maps the monomial coefficients of p
     to those of ∂p/∂w_v (``lower``). Lowering exponent v is injective, so it
     is stored as the monomials with a_v > 0, their targets and a_v.
-    ``scatter`` is the sparse (n_radial · n_phi², m) matrix with
-    r1^{a1+b1} r2^{a2+b2} at row (r, torus slot of (a1 − b1, a2 − b2)), the
-    slot numbering of ``Basis.synthesize``. ``position`` maps an exponent to
+    ``scatter`` is the ``torus_scatter`` of r1^{a1+b1} r2^{a2+b2} at the
+    weights (a1 − b1, a2 − b2), and ``values`` its ``torus_values``, the
+    transform of ``Basis.synthesize``. ``position`` maps an exponent to
     its monomial row.
     """
 
@@ -233,13 +254,9 @@ class NodeTables:
             power = exponents[rows, var].astype(float)[:, None]
             self._lowering.append((rows, self.position[tuple(lowered.T)], power))
         a1, a2, b1, b2 = exponents.T
-        slot = ((a1 - b1) % n_phi) * n_phi + (a2 - b2) % n_phi
         radial = np.sqrt(1.0 - u)[:, None] ** (a1 + b1) * np.sqrt(u)[:, None] ** (a2 + b2)
-        rows = np.arange(len(u))[:, None] * n_phi * n_phi + slot
-        self.scatter = sparse.csr_array(
-            (radial.ravel(), (rows.ravel(), np.tile(np.arange(m), len(u)))),
-            shape=(len(u) * n_phi * n_phi, m))
-        self.shape = (len(u), n_phi, n_phi)
+        self.scatter = torus_scatter(radial, a1 - b1, a2 - b2, n_phi)
+        self.n_phi = n_phi
 
     def lower(self, columns, var):
         """The monomial coefficients of ∂C/∂w_v for columns C (m, k)."""
@@ -249,14 +266,8 @@ class NodeTables:
         return out
 
     def values(self, columns):
-        """Node values of monomial-coefficient columns (m, k), shape (k, n):
-        the radial scatter, then one batched inverse 2-D FFT, taken as two
-        in-place passes (``ifft2`` would allocate two more buffers)."""
-        k = columns.shape[1]
-        modes = np.ascontiguousarray((self.scatter @ columns).T).reshape((k,) + self.shape)
-        for axis in (-1, -2):
-            np.fft.ifft(modes, axis=axis, norm="forward", out=modes)
-        return modes.reshape(k, -1)
+        """Node values (k, n) of monomial-coefficient columns (m, k)."""
+        return torus_values(self.scatter, columns, self.n_phi)
 
     def taylor(self, columns, order):
         """The node values T_β = ∂^β C / β! of monomial-coefficient columns

@@ -31,10 +31,11 @@ The grid is Gauss in ``u`` times an equispaced torus, so only the real table
 ``phi1 = phi2 = 0``) is stored. It is evaluated by the Jacobi three-term
 recurrence: the monomial form cancels, and its same-weight Gram under the
 Gauss weights is off the identity by 6e-13 at N = 12 and 4e-10 at N = 20,
-where the recurrence's stays below 5e-15. Synthesis at the nodes and
-projection are a 2-D FFT per radial node plus a sum against it (the
-transform pattern of Driscoll & Healy, 1994): the same quadrature sums as a
-dense nodes-by-basis matrix, so aliasing is unchanged.
+where the recurrence's stays below 5e-15. Synthesis and projection are a
+2-D FFT per radial node (the pattern of Driscoll & Healy, 1994) and a sparse
+operator built once: synthesis holds R_j(u_r) at (r, torus slot of j),
+projection its transpose times the Gauss weight w_r. These are the
+quadrature sums of a dense nodes-by-basis matrix, so aliasing is unchanged.
 """
 
 from __future__ import annotations
@@ -127,7 +128,9 @@ class Basis:
 
         self.radial = _radial_table(grid.u, np.abs(k1), np.abs(k2),
                                     (degrees - np.abs(k1) - np.abs(k2)) // 2)
-        self._torus_slot = (self.k1 % grid.n_phi) * grid.n_phi + self.k2 % grid.n_phi
+        self._synthesis = _core.torus_scatter(self.radial, k1, k2, grid.n_phi)
+        weighted = grid.u_weights[:, None] * self.radial
+        self._projection = _core.torus_scatter(weighted, k1, k2, grid.n_phi).T
 
         # Folland's ladder, see the module docstring
         src = np.flatnonzero(self.bidegree_q > 0)
@@ -202,34 +205,29 @@ class Basis:
         return self._node_tables
 
     def synthesize(self, coeffs):
-        """Values at the quadrature nodes of the coefficient vector ``coeffs``:
-        per radial node, the torus modes R_j(u_r) c_j (summed over slots of
-        one weight) go through one inverse 2-D FFT."""
-        n = self.grid.n_phi
-        modes = np.zeros((self.grid.n_radial, n * n), dtype=complex)
-        np.add.at(modes, (slice(None), self._torus_slot), self.radial * coeffs)
-        return np.fft.ifft2(modes.reshape(-1, n, n), norm="forward").ravel()
+        """Values at the quadrature nodes of the coefficient vector ``coeffs``
+        (or of the columns of a (size, k) stack, shape (k, n)): the synthesis
+        operator's torus modes, then one inverse 2-D FFT per radial node."""
+        return _core.torus_values(self._synthesis, coeffs, self.grid.n_phi)
 
     def project_values(self, values):
         """L^2-orthogonal projection of a vector of nodewise values onto the
-        basis: the quadrature sums, as a 2-D FFT per radial node and a
-        weighted radial sum against R_j."""
-        n = self.grid.n_phi
-        modes = np.fft.fft2(np.reshape(values, (-1, n, n)), norm="forward")
-        modes = modes.reshape(-1, n * n)[:, self._torus_slot]
-        return self.grid.u_weights @ (self.radial * modes)
+        basis: the quadrature sums, as a 2-D FFT per radial node and the
+        projection operator."""
+        modes = np.fft.fft2(np.reshape(values, (-1,) + (self.grid.n_phi,) * 2), norm="forward")
+        return self._projection @ modes.ravel()
 
-    def project_with_mass(self, values):
+    def project_with_mass(self, values, **meta):
         """Project nodewise values and record the discarded mass.
 
         The mass is the quadrature norm of ``values`` minus their projection,
         synthesized back at the nodes, stored on the result's
-        ``meta["truncation_mass"]``.
+        ``meta["truncation_mass"]`` next to the entries of ``meta``.
         """
         coeffs = self.project_values(values)
         residual = values - self.synthesize(coeffs)
         mass = math.sqrt(float(np.dot(self.grid.weights_normalized, np.abs(residual) ** 2)))
-        return SpectralScalar(self, coeffs, meta={"truncation_mass": mass})
+        return SpectralScalar(self, coeffs, meta={"truncation_mass": mass, **meta})
 
     def monomial_coefficients(self, coeffs):
         """Monomial coefficients of basis-coefficient vectors or columns. The

@@ -106,23 +106,20 @@ class NeighbourhoodError(RuntimeError):
 
 @dataclass
 class DeformationTensor:
-    """Deformation coefficient φ in φ ω̄⊗Z (H-valued; |φ| < 1 pointwise)."""
+    """Deformation coefficient φ in φ ω̄⊗Z (H-valued; ``sup`` = max |φ| < 1 at the nodes)."""
 
     coefficient: SpectralScalar
 
     def __post_init__(self):
         if not np.isfinite(self.coefficient.coeffs).all():
             raise NonFiniteError("deformation tensor has a NaN or infinite coefficient")
-        sup = self.sup_abs()
-        if not sup < 1.0:
-            raise NeighbourhoodError(f"deformation tensor has sup |phi| = {sup:.3f}, not below 1")
+        self.sup = float(np.abs(self.coefficient.values()).max())
+        if not self.sup < 1.0:
+            raise NeighbourhoodError(f"deformation tensor has sup |phi| = {self.sup:.3f}, not below 1")
 
     @property
     def basis(self):
         return self.coefficient.basis
-
-    def sup_abs(self):
-        return float(np.abs(self.coefficient.values()).max())
 
     def fs_norm(self, order):
         return self.coefficient.fs_norm(order)
@@ -370,8 +367,8 @@ class ContactDiffeo:
     map, by its right-hand sides and by φ∘F at its images, where the
     near-node bound failed or the flow built no table;
     ``max_node_displacement`` is the largest max |F(x) − x| (stage points
-    included) at which near-node values were asked for. All four are 0 for
-    the identity.
+    included) at which near-node values were asked for; ``field_norm`` the
+    generator's norm that ``flow`` checked. All five are 0 for the identity.
     """
 
     basis: Basis
@@ -385,6 +382,7 @@ class ContactDiffeo:
     error_estimate: float = 0.0
     kernel_fallbacks: int = 0
     max_node_displacement: float = 0.0
+    field_norm: float = 0.0
 
     @property
     def images(self):
@@ -442,7 +440,8 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
             return ContactDiffeo(basis, X, n_steps, y, maps, ratio,
                                  rhs_evals=rhs_evals, error_estimate=estimate,
                                  kernel_fallbacks=field.kernel_fallbacks,
-                                 max_node_displacement=field.max_node_displacement)
+                                 max_node_displacement=field.max_node_displacement,
+                                 field_norm=norm)
         if 2 * n_steps > MAX_FLOW_STEPS:
             raise FlowError(f"flow error estimate {estimate:.2e} (tol {FLOW_TOL:g}) and contact "
                             f"ratio {ratio:.2e} (tol {CONTACT_RATIO_TOL:g}) at {n_steps} steps")
@@ -503,7 +502,8 @@ def pullback_scalar(F: ContactDiffeo, f: SpectralScalar) -> SpectralScalar:
 
 def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
                          composition_values=None) -> DeformationTensor:
-    """F*φ as a deformation tensor: μ = B/A nodewise, projected to the basis.
+    """F*φ as a deformation tensor: μ = B/A nodewise, projected to the basis
+    with min |A| over the nodes on its coefficient's ``meta["min_abs_a"]``.
 
     ``composition_values`` freezes the φ∘F factor at given nodewise values
     (used by the remainder map); by default it is φ∘F (``_composed_values``).
@@ -517,7 +517,7 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     min_a = float(np.abs(a_vals).min())
     if not min_a >= _MIN_ABS_A:  # a NaN fails this too
         raise NeighbourhoodError(f"structure left the parameterized neighbourhood (|A| = {min_a:.3f})")
-    return DeformationTensor(F.basis.project_with_mass(b_vals / a_vals))
+    return DeformationTensor(F.basis.project_with_mass(b_vals / a_vals, min_abs_a=min_a))
 
 
 def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,

@@ -226,6 +226,9 @@ def result_to_json(result, config=None, input_sha256=None):
         "max_contact_ratio": float(result.max_contact_ratio()),
         "max_kernel_fallbacks": int(result.max_kernel_fallbacks()),
         "max_node_displacement": float(result.max_node_displacement()),
+        "max_field_norm": max(row["field_norm"] for row in result.history),
+        "min_abs_a": min(row["min_abs_a"] for row in result.history),
+        "max_sup_phi": max(row["sup_phi"] for row in result.history),
         "history": result.history,
     }
     if config is not None:
@@ -237,4 +240,5 @@ def result_to_json(result, config=None, input_sha256=None):
 
 HISTORY_HEADER = ["iter", "chi_norm", "xi_norm", "trunc_mass",
                   "flow_rhs_evals", "flow_error_estimate", "contact_ratio",
-                  "kernel_fallbacks", "max_node_displacement"]
+                  "kernel_fallbacks", "max_node_displacement",
+                  "field_norm", "min_abs_a", "sup_phi"]

@@ -184,6 +184,9 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
             "contact_ratio": F.contact_ratio,
             "kernel_fallbacks": F.kernel_fallbacks,
             "max_node_displacement": F.max_node_displacement,
+            "field_norm": F.field_norm,
+            "min_abs_a": mu.coefficient.meta["min_abs_a"],
+            "sup_phi": mu.sup,
         })
         if chi_norm + xi_norm < tol:
             converged = True

@@ -232,8 +232,9 @@ def test_orthonormality_via_quadrature(basis6):
 
 
 def test_fft_transforms_match_dense_oracle():
+    # grid lengths 14, 18 and 21: the length rule moved the first two
     rng = np.random.default_rng(12)
-    for N in (6, 8):
+    for N in (4, 6, 8):
         basis = cached_basis(N)
         dense = dense_node_values(basis)
         c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
@@ -244,6 +245,26 @@ def test_fft_transforms_match_dense_oracle():
         expect = dense.conj().T @ (basis.grid.weights_normalized * v)
         got = basis.project_values(v)
         assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect)), N
+
+
+def test_transforms_match_point_evaluation_at_n12():
+    # a dense oracle is about 94 MB at N = 12, so 8 random coefficient
+    # columns go through synthesis as one (size, 8) stack and through the
+    # point kernel; projection is checked as synthesis's adjoint on them
+    basis = cached_basis(12)
+    grid = basis.grid
+    rng = np.random.default_rng(21)
+    cols = rng.standard_normal((basis.size, 8)) + 1j * rng.standard_normal((basis.size, 8))
+    points = basis.eval_columns(grid.z1, grid.z2, cols)
+    got = basis.synthesize(cols)
+    assert got.shape == (8, grid.n_nodes)
+    assert np.max(np.abs(got - points.T)) < 1e-12 * np.max(np.abs(points))
+    for j in range(8):
+        assert np.array_equal(basis.synthesize(cols[:, j]), got[j])
+    v = rng.standard_normal(grid.n_nodes) + 1j * rng.standard_normal(grid.n_nodes)
+    expect = points.conj().T @ (grid.weights_normalized * v)
+    got = cols.conj().T @ basis.project_values(v)
+    assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("N", [8, 12, 16])

@@ -5,17 +5,20 @@ Everything but the console entry point runs ``main()`` in-process.
 
 import json
 import re
+import runpy
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import cached_basis
 from crsphere import cli, io
 from crsphere.cli import EXIT_CODES, main
 from crsphere.flow import MAX_FLOW_STEPS
+from crsphere.operators import OperatorSuite
 
 
 def run_cli(*args):
@@ -319,6 +322,14 @@ def test_verify_passes_and_writes_csv(tmp_path):
     assert len(rows) == 17 and rows[-1]["check"] == "near_node_taylor"
 
 
+@pytest.mark.parametrize("N", [4, 12, 16])
+def test_verify_quadrature_check_passes_on_the_smooth_grid(N):
+    # the length rule moved n_phi at these degrees (14, 30 and 40 angles)
+    rows = cli.identity_battery(OperatorSuite(cached_basis(N)), np.random.default_rng(N))
+    row = next(r for r in rows if r["check"] == "quadrature_exactness_2N+4")
+    assert row["status"] == "pass" and row["residual"] <= 1e-12, row
+
+
 def test_slice_auto_generator(tmp_path):
     phi = tmp_path / "phi.json"
     out = tmp_path / "slice.csv"
@@ -344,6 +355,15 @@ def test_scan_writes_documented_columns(tmp_path):
 def test_config_validation_rejects_bad_degree(capsys):
     assert_bad_flag(capsys, ["verify", "--degree", "3"],
                     "crsphere: error: --degree must be at least 4")
+
+
+def test_package_runs_as_a_module(monkeypatch, capsys):
+    # ``python -m crsphere verify --degree 6``, in-process
+    monkeypatch.setattr(sys, "argv", ["crsphere", "verify", "--degree", "6"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("crsphere", run_name="__main__")
+    assert exc.value.code == 0
+    assert "all 17 checks passed" in capsys.readouterr().out
 
 
 def test_console_entry_point_runs():

@@ -307,7 +307,7 @@ def test_pullback_matches_explicit_frame_pushforward(suite6):
     expect = basis.project_with_mass(b_vals / a_vals)
     got = pullback_deformation(F, phi).coefficient
     assert np.array_equal(got.coeffs, expect.coeffs)
-    assert got.meta == expect.meta
+    assert got.meta == {**expect.meta, "min_abs_a": float(np.abs(a_vals).min())}
     nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
     assert np.abs(F.images - nodes).max() > 1e-3 and np.abs(comp).max() > 0.0
     every = 13

@@ -191,3 +191,21 @@ def test_quadrature_detects_overshoot():
     overshoot = np.abs(z1) ** (2 * (2 * 4 + 6))
     exact = float(monomial_moment(2 * 4 + 6, 0, 2 * 4 + 6, 0))
     assert abs(grid.mean(overshoot) - exact) > 1e-13
+
+
+def is_seven_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_grid_length_is_the_smallest_seven_smooth_at_least_2n_plus_5():
+    lengths = {}
+    for N in range(1, 33):
+        grid = QuadratureGrid.build(N)
+        n_phi = lengths[N] = grid.n_phi
+        assert n_phi >= 2 * N + 5 and is_seven_smooth(n_phi), N
+        assert not any(is_seven_smooth(n) for n in range(2 * N + 5, n_phi)), N
+        assert grid.n_nodes == grid.n_radial * n_phi ** 2
+    assert [lengths[N] for N in (4, 6, 8, 10, 12, 16, 20)] == [14, 18, 21, 25, 30, 40, 45]

@@ -125,6 +125,11 @@ def test_result_serialization_is_json_clean(suite6):
     assert parsed["flow_rhs_evals"] == result.flow_rhs_evals > 0
     assert parsed["max_flow_error_estimate"] == result.max_flow_error_estimate
     assert parsed["max_contact_ratio"] == result.max_contact_ratio() > 0.0
+    # the worst guard margins of the run, from its history rows
+    history = result.history
+    assert parsed["max_field_norm"] == max(row["field_norm"] for row in history) > 0.0
+    assert parsed["min_abs_a"] == min(row["min_abs_a"] for row in history) < 1.0
+    assert parsed["max_sup_phi"] == max(row["sup_phi"] for row in history) > 0.0
 
 
 def test_atomic_write_leaves_no_temp(tmp_path):
@@ -145,7 +150,8 @@ def test_atomic_write_replaces(tmp_path):
 def test_csv_roundtrip_with_preamble(tmp_path):
     path = tmp_path / "t.csv"
     flow_cols = {"flow_rhs_evals": 0, "flow_error_estimate": 0.0, "contact_ratio": 0.0,
-                 "kernel_fallbacks": 0, "max_node_displacement": 0.0}
+                 "kernel_fallbacks": 0, "max_node_displacement": 0.0,
+                 "field_norm": 0.0, "min_abs_a": 1.0, "sup_phi": 0.5}
     rows = [{"iter": 0, "chi_norm": 0.5, "xi_norm": 0.0, "trunc_mass": 1e-16, **flow_cols},
             {"iter": 1, "chi_norm": 1e-12, "xi_norm": 2e-18, "trunc_mass": 0.0, **flow_cols}]
     io.write_csv(path, io.HISTORY_HEADER, rows, preamble=["config={}"])

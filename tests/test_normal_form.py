@@ -5,7 +5,8 @@ import pytest
 
 from conftest import cached_suite
 from crsphere.fields import complex_contact_norm, contact_from_generating
-from crsphere.flow import DeformationTensor, NeighbourhoodError, flow, pullback_deformation
+from crsphere.flow import (FLOW_NORM_CAP, DeformationTensor, NeighbourhoodError, flow,
+                           pullback_deformation)
 from crsphere import _core, normal_form as nf
 
 
@@ -119,6 +120,22 @@ def test_history_carries_each_iterations_flow(suite6):
     assert max(row["flow_error_estimate"] for row in result.history) \
         == result.max_flow_error_estimate
     assert 0.0 < result.max_contact_ratio() == max(row["contact_ratio"] for row in result.history)
+
+
+def test_history_carries_each_iterations_guard_margins(suite6):
+    # the neighbourhood guards report the values they checked: the flow
+    # field's order-6 norm (cap 8), min |A| (limit 0.1) and sup |F*phi|
+    # (limit 1); iteration 0 pulls back by the identity, so A = 1 there
+    phi = nf.random_deformation(suite6.basis, np.random.default_rng(86), 5e-3)
+    result = nf.solve(suite6, phi)
+    history = result.history
+    assert (history[0]["field_norm"], history[0]["min_abs_a"]) == (0.0, 1.0)
+    assert abs(history[0]["sup_phi"] - phi.sup) < 1e-12
+    for row in history[1:]:
+        assert 0.0 < row["field_norm"] <= FLOW_NORM_CAP
+        assert 0.1 <= row["min_abs_a"] < 1.0 and 0.0 < row["sup_phi"] < 1.0
+    # the last row flows the returned X
+    assert history[-1]["field_norm"] == pytest.approx(result.x.fs_norm(6), rel=1e-14)
 
 
 def test_solver_certificates(suite8):
