@@ -101,6 +101,14 @@ def test_rerun_is_bitwise_identical(tmp_path):
     assert (tmp_path / "ra.history.csv").read_bytes() == (tmp_path / "rb.history.csv").read_bytes()
 
 
+def test_gen_matches_the_stored_file(tmp_path):
+    # a change of the file format has to show up as a change of this file
+    golden = Path(__file__).parent / "data" / "gen-random-n4-seed0.json"
+    out = tmp_path / "phi.json"
+    gen_random(out, 0)
+    assert out.read_bytes() == golden.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # failures: one exit code and one error line each
 
