@@ -177,8 +177,8 @@ def cmd_gen(args, config):
 
 def cmd_normal_form(args, config):
     suite = _suite(config)
-    input_sha = _io.file_sha256(args.infile)
-    phi = _io.deformation_from_json(suite.basis, _io.read_json(args.infile))
+    obj, input_sha = _io.read_json_hashed(args.infile)
+    phi = _io.deformation_from_json(suite.basis, obj)
 
     history_path = _csv_sibling(args.out, "history")
     try:
@@ -394,8 +394,8 @@ def _load_generator(suite, spec, config):
 
 def cmd_slice(args, config):
     suite = _suite(config)
-    input_sha = _io.file_sha256(args.infile)
-    phi = _io.deformation_from_json(suite.basis, _io.read_json(args.infile))
+    obj, input_sha = _io.read_json_hashed(args.infile)
+    phi = _io.deformation_from_json(suite.basis, obj)
     G = flow(_load_generator(suite, args.generator, config), steps=config.steps)
     report = nf.slice_check(suite, phi, G, tol=config.tol,
                             max_iter=config.max_iter, order=config.s,

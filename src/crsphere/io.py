@@ -2,6 +2,8 @@
 
 All structured objects go to JSON with sorted keys and default float repr
 (shortest round-trip), so identical inputs produce bitwise-identical files.
+``canonical_dumps`` writes the text of ``json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False)``, the tests' oracle; a list of [float, float] fills one template.
 Complex coefficient vectors serialize as [[re, im], ...] pairs tagged with
 the basis content hash; loading against a different build of the basis
 fails loudly rather than reinterpreting coefficients.
@@ -13,8 +15,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,7 +37,38 @@ class InputError(Exception):
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`` for
+    str-keyed dicts, lists, tuples, str, int, float, bool and None. A NaN or
+    infinity raises ``ValueError``; another type, or key, ``TypeError``."""
+    return _encode(obj, "\n")
+
+
+def _encode(obj, newline):
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):  # numpy float64 included, as in json
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        pairs = set(map(type, obj)) == {list} and set(map(len, obj)) == {2}
+        flat = [part for pair in obj for part in pair] if pairs else []
+        if set(map(type, flat)) == {float} and all(map(math.isfinite, flat)):
+            item = f"{inner}[{inner}  %s,{inner}  %s{inner}]"  # one [re, im] pair
+            text = ",".join([item] * len(obj)) % tuple(map(float.__repr__, flat))
+            return "[" + text + newline + "]"
+        items = [inner + _encode(value, inner) for value in obj]
+        return "[" + ",".join(items) + newline + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_encode(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return "{" + ",".join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def compact_dumps(obj) -> str:
@@ -75,14 +110,19 @@ def write_json(path, obj):
     atomic_write_text(path, canonical_dumps(obj) + "\n")
 
 
+def read_json_hashed(path):
+    """Parsed JSON and the sha256 of the bytes parsed, from one read; ``OSError``
+    if the file cannot be read, ``InputError`` if it is not UTF-8 JSON."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8")), sha256_hex(data)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"{path}: not valid JSON ({exc})") from None
+
+
 def read_json(path):
-    """Parsed JSON; ``OSError`` if the file cannot be read, ``InputError``
-    if its text cannot be decoded or is not JSON."""
-    with open(path, "r") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise InputError(f"{path}: not valid JSON ({exc})") from None
+    return read_json_hashed(path)[0]
 
 
 def write_csv(path, header, rows, preamble=None):
@@ -118,7 +158,7 @@ def read_csv(path):
 
 
 def _pairs(coeffs):
-    return [[float(c.real), float(c.imag)] for c in coeffs]
+    return np.ascontiguousarray(coeffs, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _unpairs(pairs):

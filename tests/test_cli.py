@@ -3,6 +3,7 @@
 Everything but the console entry point runs ``main()`` in-process.
 """
 
+import builtins
 import json
 import re
 import runpy
@@ -107,6 +108,32 @@ def test_gen_matches_the_stored_file(tmp_path):
     out = tmp_path / "phi.json"
     gen_random(out, 0)
     assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["normal-form", "slice"])
+def test_input_is_read_once_and_its_hash_recorded(tmp_path, monkeypatch, command):
+    # a second read could hash bytes other than the ones solved
+    phi = tmp_path / "phi.json"
+    gen_random(phi, 3)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / ("res.json" if command == "normal-form" else "res.csv")
+    extra = ["--generator", "auto"] if command == "slice" else []
+    # slice exits 1 when its comparison fails; its CSV is written either way
+    assert run_cli(command, "--degree", "4", "--in", phi, *extra, "--out", out) in (0, 1)
+    monkeypatch.undo()
+    assert opened.count(str(phi)) == 1
+    if command == "normal-form":
+        recorded = json.loads(out.read_text())["input_sha256"]
+    else:
+        recorded = out.read_text().splitlines()[1].removeprefix("# input_sha256=")
+    assert recorded == io.file_sha256(phi)
 
 
 # ---------------------------------------------------------------------------

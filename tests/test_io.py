@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from conftest import cached_basis, cached_suite
 from crsphere import io
 from crsphere.flow import DeformationTensor
-from crsphere.normal_form import random_deformation, solve
+from crsphere.normal_form import (prefab_normal_form, pullback_of_zero, random_deformation,
+                                  solve)
 
 
 def test_canonical_dumps_sorts_keys():
@@ -20,9 +21,77 @@ def test_canonical_dumps_sorts_keys():
     assert io.canonical_dumps({"a": 1, "b": 2}) == io.canonical_dumps({"b": 2, "a": 1})
 
 
+def _json_oracle(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
 def test_canonical_dumps_rejects_nan():
-    with pytest.raises(ValueError):
-        io.canonical_dumps({"x": float("nan")})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for obj in ({"x": bad}, [0.5, bad], [[0.5, 1.5], [bad, 0.0]], [[0.5, bad]],
+                    {"coeffs": [[0.5, 1.5]] * 3 + [[1.0, bad]]}):
+            with pytest.raises(ValueError):
+                io.canonical_dumps(obj)
+            with pytest.raises(ValueError):
+                _json_oracle(obj)
+
+
+@pytest.mark.parametrize("bad", [np.int64(3), 1j, {1, 2}, {1: 2.0}, {"a": 1, 2: 3},
+                                 [[np.int64(1), 2.0]], [[1.0, 2.0], [1j, 0.0]]])
+def test_canonical_dumps_rejects_unsupported_types_and_keys(bad):
+    # json.dumps writes the int key of {1: 2.0} as "1"; no output has one
+    with pytest.raises(TypeError):
+        io.canonical_dumps({"x": bad})
+
+
+_ORACLE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e308, -1e308,
+                                     0.1, 1 / 3]))
+_ORACLE_LEAVES = (st.none() | st.booleans() | _ORACLE_FLOATS | st.integers()
+                  | st.integers(2**63, 2**200) | st.integers(-(2**200), -(2**63))
+                  | st.text() | st.sampled_from(["", "\x00\x1f\x7f", "é ∂̄ 𝔖", '"\\/']))
+# [[re, im], ...] coefficient vectors, lists of float lists of other lengths,
+# and pair lists that hold ints or bools, such as [1, 2.0] and [True, 0.0]
+_ORACLE_PAIRS = (st.lists(st.lists(_ORACLE_FLOATS, min_size=2, max_size=2), max_size=12)
+                 | st.lists(st.lists(_ORACLE_FLOATS, min_size=1, max_size=3), max_size=4)
+                 | st.lists(st.lists(_ORACLE_FLOATS | st.integers() | st.booleans(),
+                                     min_size=2, max_size=2), max_size=4))
+_ORACLE_TREES = st.recursive(
+    _ORACLE_LEAVES | _ORACLE_PAIRS,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ORACLE_TREES)
+def test_canonical_dumps_is_json_dumps(obj):
+    assert io.canonical_dumps(obj) == _json_oracle(obj)
+
+
+def _oracle_examples(suite):
+    rng = np.random.default_rng(107)
+    instances = {
+        "random": (random_deformation(suite.basis, rng, 1e-3), {}),
+        "pullback-of-zero": (pullback_of_zero(suite, rng, target=1e-3).phi, {}),
+    }
+    prefab = prefab_normal_form(suite, rng, target=1e-3)
+    instances["prefab-normal-form"] = (prefab.phi, {"y0": io.scalar_to_json(prefab.y0),
+                                                    "psi0": io.scalar_to_json(prefab.psi0)})
+    for kind, (phi, provenance) in instances.items():
+        yield io.deformation_to_json(phi, config={"seed": 7, "eps": 0.01},
+                                     provenance={"kind": kind, **provenance})
+        yield io.result_to_json(solve(suite, phi, steps=8), config={"seed": 7},
+                                input_sha256="cd" * 32)
+
+
+def test_canonical_dumps_matches_json_on_real_objects(suite6):
+    examples = list(_oracle_examples(suite6))
+    assert len(examples) == 6
+    history = [{"chi_norm": np.float64(0.25), "xi_norm": np.float64(-0.0), "iter": 1,
+                "pair": [np.float64(1e-300), 2.5]}]
+    for obj in examples + [{"history": history}]:
+        assert io.canonical_dumps(obj) == _json_oracle(obj)
 
 
 def test_scalar_roundtrip(basis6):
