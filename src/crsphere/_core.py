@@ -43,9 +43,9 @@ Taylor series,
 
     p(x + δ) = Σ_β T_β(x) δ^β,   T_β = ∂^β p / β!,   δ = (δ1, δ2, δ̄1, δ̄2).
 
-``NodeTables`` holds the per-basis tables: four lowering operators, one per
-variable, that map the monomial coefficients of p to those of ∂p/∂w_v, and
-one sparse radial scatter. A monomial at the node (u_r, φ1, φ2) is
+``NodeTables`` holds the per-basis tables: the gathers that map the monomial
+coefficients of p to those of every ∂^β p / β! of an order, and one sparse
+radial scatter. A monomial at the node (u_r, φ1, φ2) is
 r1^{a1+b1} r2^{a2+b2} e^{i(a1−b1)φ1} e^{i(a2−b2)φ2}, r1 = sqrt(1 − u_r),
 r2 = sqrt(u_r), so the scatter puts r1^{a1+b1} r2^{a2+b2} on the torus slot
 (a1 − b1, a2 − b2) of each radial node, and one batched inverse 2-D FFT gives
@@ -75,7 +75,9 @@ which is ``truncation_bound``. It covers truncation only; the table's
 roundoff is that of the monomial sums, as in the point kernels.
 """
 
+import functools
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -174,10 +176,11 @@ def multi_indices(order):
     return np.array(betas, dtype=np.int64)
 
 
+@functools.cache
 def _recursion(order):
     """For each β ≠ 0 of ``multi_indices(order)``, in order, the pair
-    (t of β − e_v, v) for the first variable v that β raises: ∂^β and δ^β
-    are built from the earlier term by one more factor of v."""
+    (t of β − e_v, v) for the first variable v that β raises: δ^β is the
+    earlier term's power times δ_v."""
     multi = multi_indices(order)
     index = {beta: t for t, beta in enumerate(map(tuple, multi.tolist()))}
     steps = []
@@ -185,7 +188,7 @@ def _recursion(order):
         var = next(v for v in range(4) if beta[v])
         beta[var] -= 1
         steps.append((index[tuple(beta)], var))
-    return steps
+    return tuple(steps)
 
 
 def truncation_weights(exponents, columns, order):
@@ -220,7 +223,12 @@ def torus_values(scatter, columns, n_phi):
     """Node values (n,) or (k, n) of a vector (m,) or columns (m, k): the modes
     ``scatter @ columns`` per radial node and torus slot, then an inverse 2-D
     FFT as two in-place passes (``ifft2`` allocates two more buffers)."""
-    values = np.ascontiguousarray((scatter @ columns).T, dtype=complex)
+    if np.ndim(columns) == 1:
+        values = np.asarray(scatter @ columns, dtype=complex)
+    else:  # column by column: a product and its transposed copy doubled the time
+        values = np.empty((columns.shape[1], scatter.shape[0]), dtype=complex)
+        for j in range(columns.shape[1]):
+            values[j] = scatter @ columns[:, j]
     modes = values.reshape(values.shape[:-1] + (-1, n_phi, n_phi))
     for axis in (-1, -2):
         np.fft.ifft(modes, axis=axis, norm="forward", out=modes)
@@ -232,38 +240,41 @@ class NodeTables:
     for the monomial list ``exponents`` and the grid with radial nodes ``u``
     and ``n_phi`` angles per torus circle.
 
-    The lowering operator of variable v maps the monomial coefficients of p
-    to those of ∂p/∂w_v (``lower``). Lowering exponent v is injective, so it
-    is stored as the monomials with a_v > 0, their targets and a_v.
-    ``scatter`` is the ``torus_scatter`` of r1^{a1+b1} r2^{a2+b2} at the
+    ``derivatives`` maps the monomial coefficients of p to those of every
+    ∂^β p / β! of an order by one gather, built on first use: ∂^β w^α / β! =
+    C(α, β) w^{α−β}, and α ↦ α − β is injective on α ≥ β. ``scatter`` is the ``torus_scatter`` of r1^{a1+b1} r2^{a2+b2} at the
     weights (a1 − b1, a2 − b2), and ``values`` its ``torus_values``, the
     transform of ``Basis.synthesize``. ``position`` maps an exponent to
     its monomial row.
     """
 
     def __init__(self, exponents, u, n_phi):
-        m = len(exponents)
+        self.exponents = exponents
         degree = int(exponents.sum(axis=1).max(initial=0))
         self.position = np.zeros((degree + 1,) * 4, dtype=np.int64)
-        self.position[tuple(exponents.T)] = np.arange(m)
-        self._lowering = []
-        for var in range(4):
-            rows = np.flatnonzero(exponents[:, var])
-            lowered = exponents[rows].copy()
-            lowered[:, var] -= 1
-            power = exponents[rows, var].astype(float)[:, None]
-            self._lowering.append((rows, self.position[tuple(lowered.T)], power))
+        self.position[tuple(exponents.T)] = np.arange(len(exponents))
+        self._gathers = {}
         a1, a2, b1, b2 = exponents.T
         radial = np.sqrt(1.0 - u)[:, None] ** (a1 + b1) * np.sqrt(u)[:, None] ** (a2 + b2)
         self.scatter = torus_scatter(radial, a1 - b1, a2 - b2, n_phi)
         self.n_phi = n_phi
 
-    def lower(self, columns, var):
-        """The monomial coefficients of ∂C/∂w_v for columns C (m, k)."""
-        rows, target, power = self._lowering[var]
-        out = np.zeros_like(columns)
-        out[target] = power * columns[rows]
-        return out
+    def derivatives(self, columns, order):
+        """The monomial coefficients of ∂^β C / β! of columns C (m, k) for
+        |β| ≤ ``order``, shape (m, terms, k), in the order of
+        ``multi_indices(order)``."""
+        if order not in self._gathers:
+            multi = multi_indices(order)
+            rows, t = np.nonzero((self.exponents[:, None] >= multi).all(axis=2))
+            alpha, beta = self.exponents[rows], multi[t]
+            target = self.position[tuple((alpha - beta).T)] * len(multi) + t
+            factor = np.frompyfunc(math.comb, 2, 1)(alpha, beta).prod(axis=1).astype(float)
+            self._gathers[order] = (target, rows, factor[:, None])
+        target, source, factor = self._gathers[order]
+        (m, k), terms = columns.shape, math.comb(order + 4, 4)
+        out = np.zeros((m * terms, k), dtype=complex)
+        out[target] = factor * columns[source]
+        return out.reshape(m, terms, k)
 
     def values(self, columns):
         """Node values (k, n) of monomial-coefficient columns (m, k)."""
@@ -272,16 +283,10 @@ class NodeTables:
     def taylor(self, columns, order):
         """The node values T_β = ∂^β C / β! of monomial-coefficient columns
         (m, k) for |β| ≤ ``order``, shape (terms, k, n), in the order of
-        ``multi_indices(order)``. Each ∂^β C / β! is one lowering of an
-        earlier one, (1/β_v) ∂_v ∂^{β−e_v} C/(β−e_v)! for the first variable v
-        that β raises (``_recursion``), and all go through one ``values``."""
-        multi = multi_indices(order)
-        m, k = columns.shape
-        derivs = np.empty((m, len(multi), k), dtype=complex)
-        derivs[:, 0] = columns
-        for t, (parent, var) in enumerate(_recursion(order), start=1):
-            derivs[:, t] = self.lower(derivs[:, parent], var) / multi[t, var]
-        return self.values(derivs.reshape(m, -1)).reshape(len(multi), k, -1)
+        ``multi_indices(order)``: ``derivatives`` through one ``values``."""
+        derivs = self.derivatives(columns, order)
+        m, terms, k = derivs.shape
+        return self.values(derivs.reshape(m, terms * k)).reshape(terms, k, -1)
 
 
 class NodeTaylor:
@@ -293,13 +298,18 @@ class NodeTaylor:
     def __init__(self, values, order):
         self.values = values
         self.order = order
-        self._steps = _recursion(order)  # δ^β = δ^{β−e_v} δ_v
 
     def __call__(self, d1, d2):
-        delta = (d1, d2, np.conj(d1), np.conj(d2))
-        powers = [None]
         out = self.values[0].copy()
-        for t, (parent, var) in enumerate(self._steps, start=1):
-            powers.append(delta[var] if parent == 0 else powers[parent] * delta[var])
-            out += self.values[t] * powers[t]
+        for t, power in enumerate(displacement_powers(d1, d2, self.order)[1:], start=1):
+            out += self.values[t] * power
         return out
+
+
+def displacement_powers(d1, d2, order):
+    """δ^β (n,) at the nodes for the β of ``multi_indices(order)``; None for β = 0."""
+    delta = (d1, d2, np.conj(d1), np.conj(d2))
+    powers = [None]
+    for parent, var in _recursion(order):
+        powers.append(delta[var] if parent == 0 else powers[parent] * delta[var])
+    return powers

@@ -100,8 +100,8 @@ class Basis:
     """Orthonormal spectral basis at a fixed truncation degree.
 
     Basis functions are stored as real coefficient columns over the monomial
-    list (``coeffs``), ordered degree-major and deterministically within each
-    degree. Orthonormality holds in the normalized round L^2 inner product.
+    list (``coeffs``, CSR), ordered degree-major and deterministically within
+    each degree. Orthonormality holds in the normalized round L^2 inner product.
     """
 
     def __init__(self, degree, geometry, grid, exponents, coeffs, k1, k2, degrees):
@@ -109,7 +109,7 @@ class Basis:
         self.geometry = geometry
         self.grid = grid
         self.exponents = exponents
-        self.coeffs = coeffs  # (n_monomials, size) real float64
+        self.coeffs = coeffs  # (n_monomials, size) real float64, CSR
         self.k1 = k1
         self.k2 = k2
         self.degrees = degrees
@@ -161,7 +161,7 @@ class Basis:
                         if (d - k1 - k2) % 2 == 0),
                        key=lambda s: (s[0], s[1] + s[2], s[1], s[2]))
 
-        coeffs = np.zeros((len(exponents), len(slots)))
+        entries = []
         f = math.factorial
         for j, (d, k1, k2) in enumerate(slots):
             a, b = abs(k1), abs(k2)
@@ -171,9 +171,11 @@ class Basis:
             c = 1.0 / math.sqrt(nu)
             for i in range(n, -1, -1):
                 row = exp_index[(max(k1, 0), max(k2, 0) + i, max(-k1, 0), max(-k2, 0) + i)]
-                coeffs[row, j] = c
+                entries.append((c, row, j))
                 if i:
                     c = -c * i * (b + i) / ((n - i + 1) * (n + a + b + i))
+        vals, rows, cols = zip(*entries)
+        coeffs = sparse.csr_array((vals, (rows, cols)), shape=(len(exponents), len(slots)))
 
         d, k1, k2 = np.array(slots, dtype=np.int64).T
         return Basis(degree, geometry, grid, exponents, coeffs, k1, k2, d)
@@ -198,8 +200,8 @@ class Basis:
                                    self.exponents, self.monomial_coefficients(column_matrix))
 
     def node_tables(self):
-        """The near-node tables of this basis (``_core.NodeTables``: lowering
-        operators and radial scatter), built on first use."""
+        """The near-node tables of this basis (``_core.NodeTables``: derivative
+        gathers and radial scatter), built on first use."""
         if self._node_tables is None:
             self._node_tables = _core.NodeTables(self.exponents, self.grid.u, self.grid.n_phi)
         return self._node_tables
@@ -232,7 +234,7 @@ class Basis:
     def monomial_coefficients(self, coeffs):
         """Monomial coefficients of basis-coefficient vectors or columns. The
         real ``coeffs`` multiplies the real and imaginary parts apart: a
-        complex product would copy it to complex on every call."""
+        complex product would copy its entries to complex on every call."""
         c = np.asarray(coeffs)
         return self.coeffs @ c.real + 1j * (self.coeffs @ c.imag)
 

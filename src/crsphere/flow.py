@@ -28,26 +28,25 @@ within CONTACT_RATIO_TOL. The ratio alone cannot see phase error: the Hopf
 rotation pushes each frame vector to a unimodular multiple of the frame at
 the image, so the ratio stays at roundoff whatever the step count.
 
-Near-node evaluation. A solver flow moves each node by a few 1e-6 at most,
-so the right-hand side does not evaluate the field at the images. Once per
-flow it builds the order-1 Taylor table of its 10 kernel rows at the nodes
-(``_core.NodeTaylor``, via ``_FlowField``) if the table's certified
-truncation bound, carried through the right-hand side, stays within
-NEAR_NODE_TOL at an a priori bound on the displacement; each call then sums
-the table at its actual displacement δ = y − x, after checking the bound
-again at max |δ|. A call that fails the check, or a flow that builds no
-table, takes the point kernel ``_core.eval_poly`` instead, and
-``ContactDiffeo.kernel_fallbacks`` counts it. The table changes each
-right-hand side by at most NEAR_NODE_TOL, so the unit-size state by at most
-Σ|bᵢ| NEAR_NODE_TOL ≈ 0.8 NEAR_NODE_TOL over time 1. That shift passes into
-the pulled-back tensor unchanged, so a solve's outputs move by about
-30 NEAR_NODE_TOL relative (measured on random solves at N = 6 and 8), which
-sets NEAR_NODE_TOL = 1e-14: within 1e-12 of the point kernel's outputs. The
-solver's random fields pass at N ≥ 8; those at N = 6, which move nodes ten
-times farther, and pullback fields, whose bounds sit near 1e-13, take the
-kernel. f∘F on a moving flow is the order-2 Taylor table of f at the nodes
-in the same way, checked relative to max |f| at the nodes, with
-``_core.eval_bilinear`` as its fallback.
+Near-node evaluation. A solver flow moves each node by a few 1e-6 at most.
+Each right-hand-side call bounds the truncation error of the order-1 Taylor
+table of its 10 kernel rows at the nodes, carried through the right-hand side,
+at its own displacement δ = y − x (``_FlowField``). Where the bound is at most
+NEAR_NODE_TOL the call sums the table at δ, built by the first such call of
+the flow; otherwise it takes the point kernel ``_core.eval_poly``, counted in
+``ContactDiffeo.kernel_fallbacks``. The bound grows as max |δ|², so the early
+stages of a DOPRI step may pass where the late ones fail: on the solver's
+pullback fields at N = 8 and 12 and its random fields at N = 6, the stages
+c = 0, 1/5 and 3/10 pass (the last at 0.3 to 0.95 of the tolerance) and
+c = 4/5, 8/9, 1 and 1 take the kernel; its random fields at N ≥ 8 pass at
+every stage. The table changes each right-hand side by at most NEAR_NODE_TOL,
+so the unit-size state by at most Σ|bᵢ| NEAR_NODE_TOL ≈ 0.8 NEAR_NODE_TOL over
+time 1, and that shift passes into the pulled-back tensor unchanged. With
+NEAR_NODE_TOL = 1e-14 solve outputs moved from the point kernel's by at most
+2.4e-13 of their size at N = 8 and 12, and by 1.4e-12 at N = 6, where random
+solves give outputs near 1e-6. f∘F on a moving flow is the order-2 Taylor
+table of f at the nodes in the same way, checked relative to max |f| at the
+nodes, with ``_core.eval_bilinear`` as its fallback.
 
 Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 
@@ -83,10 +82,11 @@ FLOW_NORM_CAP = 8.0
 FLOW_NORM_ORDER = 6
 # near-node evaluation: the largest certified error that a Taylor table may
 # add to a right-hand side (absolute: the state is of unit size) or to f∘F
-# (relative to max |f| at the nodes), and the table orders. An order-2 table
-# of the rows (70 transforms) cost more than the point kernel's seven calls
-# of a flow at N = 8, and an order-1 table of f∘F never passed on a solver
-# flow, so neither order is searched.
+# (relative to max |f| at the nodes), checked on every call at that call's
+# displacement, and the table orders. An order-2 table of the rows (70
+# transforms) cost more than the point kernel's seven calls of a flow at
+# N = 8, and an order-1 table of f∘F never passed on a solver flow, so
+# neither order is searched.
 NEAR_NODE_TOL = 1e-14
 FLOW_TABLE_ORDER = 1
 COMPOSED_TABLE_ORDER = 2
@@ -146,17 +146,15 @@ class DeformationTensor:
 def _flow_columns(X: ContactField):
     """Monomial rows and the 10 coefficient columns (g, h and their four
     ambient derivatives each) used by the flow right-hand side; the
-    derivatives are the basis's lowering operators (``_core.NodeTables``).
+    derivatives are the order-1 terms of ``_core.NodeTables.derivatives``.
     Rows whose columns all stay below _ROW_COMPRESS_REL of the largest entry
     are dropped."""
     basis = X.basis
-    tables = basis.node_tables()
     exps = basis.exponents
-    cols = np.empty((len(exps), 10), dtype=complex)
-    cols[:, 0] = basis.monomial_coefficients(X.generating.coeffs)
-    cols[:, 1] = basis.monomial_coefficients(X.horizontal.coeffs)
-    for var in range(4):
-        cols[:, [2 + var, 6 + var]] = tables.lower(cols[:, :2], var)
+    gh = np.stack([basis.monomial_coefficients(X.generating.coeffs),
+                   basis.monomial_coefficients(X.horizontal.coeffs)], axis=1)
+    derivs = basis.node_tables().derivatives(gh, 1)  # (m, 5, 2): C, then ∂_v C
+    cols = np.concatenate([gh, derivs[:, 1:, 0], derivs[:, 1:, 1]], axis=1)
     peak = np.abs(cols).max()
     if peak > 0:
         keep = np.abs(cols).max(axis=1) > _ROW_COMPRESS_REL * peak
@@ -180,71 +178,51 @@ def _rhs_error_bound(column_bounds, scale):
     return scale * (2.0 * e[0] + e[1]) + scale * scale * (2.0 * e[2:6].sum() + e[6:].sum())
 
 
+# the derivative rows at order FLOW_TABLE_ORDER over the order-2 table T of g
+# and h: ∂^γ ∂_v g / γ! = (γ_v + 1) T_{γ+e_v}, so row 2 + v of g (6 + v of h)
+# is Σ_γ (γ_v + 1) T_{γ+e_v} δ^γ; listed as (t of γ, t of γ + e_v, v, γ_v + 1)
+_MULTI = _core.multi_indices(FLOW_TABLE_ORDER + 1).tolist()
+_ROW_TERMS = [(t, _MULTI.index([c + (u == v) for u, c in enumerate(gamma)]), v, gamma[v] + 1)
+              for t, gamma in enumerate(_core.multi_indices(FLOW_TABLE_ORDER).tolist())
+              for v in range(4)]
+
+
 class _FlowField:
     """The polynomial data of X for the right-hand side: the point kernel's
     rows and columns (``_flow_columns``), and the Taylor table of g and h at
-    the nodes.
+    the nodes, built by the first call that uses it.
 
-    The table holds the 10 rows at order FLOW_TABLE_ORDER = 1. It is built
-    from the order-2 table of g and h alone, since the derivative rows are
-    their first derivatives: ∂^γ ∂_v g / γ! = (γ_v + 1) T_{γ+e_v}. It is built
-    only when its bound passes NEAR_NODE_TOL at the a priori displacement D;
-    otherwise ``table`` is None and every call takes the point kernel.
-
-    D bounds max |y − x| over the trajectories, started within ``reach`` of
-    their nodes x. The velocity v = 2ig z + h (z̄₂, −z̄₁) is two orthogonal
-    vectors of moduli 2|g| and |h|, so at the nodes it is at most
-    V = max sqrt(4|g|² + |h|²) (node values by FFT synthesis). Along a
-    trajectory it changes by at most L |y − x|, where each component of v has
-    Σ_u |∂v/∂w_u| ≤ 2|g| + |h| + 2 Σ_u |∂_u g| + Σ_u |∂_u h|, and each sup is at
-    most the ℓ1 norm of the column's monomial coefficients, |w_u| ≤ 1. So
-    D ≤ reach + V + L D over time 1, and D = (reach + V) / (1 − L). Stage
-    points off the unit ball scale L by (1 + D)^N, under 1.001 wherever a
-    table passes; the per-call check at the actual displacement covers it.
+    Each call bounds the truncation error of the 10 rows at order
+    FLOW_TABLE_ORDER = 1, carried through the right-hand side, at its own
+    displacement and state size. Where that bound is at most NEAR_NODE_TOL
+    the call sums the rows from the order-2 table of g and h alone
+    (``_ROW_TERMS``); elsewhere it takes the point kernel, counted in
+    ``kernel_fallbacks``.
     """
 
-    def __init__(self, X: ContactField, reach=0.0):
-        basis = X.basis
-        self.basis = basis
+    def __init__(self, X: ContactField):
+        self.basis = X.basis
         self.exps, self.cols = _flow_columns(X)
         self.kernel_fallbacks = 0
         self.max_node_displacement = 0.0
-        self.table = None
-        speed = float(np.sqrt(4.0 * np.abs(X.generating.values()) ** 2
-                              + np.abs(X.horizontal.values()) ** 2).max())
-        l1 = np.abs(self.cols).sum(axis=0)
-        lipschitz = 2.0 * l1[0] + l1[1] + 2.0 * l1[2:6].sum() + l1[6:].sum()
-        if not lipschitz < 1.0:
-            return
+        self.table = None  # (15, 2, n): T_β of g and h for |β| ≤ 2
         self._weights = _core.truncation_weights(self.exps, self.cols, FLOW_TABLE_ORDER)
-        rho = (reach + speed) / (1.0 - lipschitz)
-        if self._error_bound(rho, 2.0 * (1.0 + rho)) <= NEAR_NODE_TOL:
-            self.table = _core.NodeTaylor(self._values(), FLOW_TABLE_ORDER)
 
-    def _values(self):
-        """The (5, 10, n) order-1 table from the order-2 table of g and h."""
-        tables = self.basis.node_tables()
-        gh = np.zeros((len(self.basis.exponents), 2), dtype=complex)
-        gh[tables.position[tuple(self.exps.T)]] = self.cols[:, :2]
-        upper = tables.taylor(gh, FLOW_TABLE_ORDER + 1)
-        multi = _core.multi_indices(FLOW_TABLE_ORDER + 1)
-        index = {beta: t for t, beta in enumerate(map(tuple, multi.tolist()))}
-        terms = len(_core.multi_indices(FLOW_TABLE_ORDER))
-        values = np.empty((terms, 10, upper.shape[2]), dtype=complex)
-        values[:, :2] = upper[:terms]
-        for t, beta in enumerate(multi[:terms].tolist()):
-            for var in range(4):
-                raised = list(beta)
-                raised[var] += 1
-                # rows 2 + var and 6 + var: (γ_v + 1) T_{γ+e_v} of g and of h
-                np.multiply(upper[index[tuple(raised)]], beta[var] + 1,
-                            out=values[t, 2 + var::4])
-        return values
-
-    def _error_bound(self, rho, scale):
-        """``_rhs_error_bound`` of the table's rows at displacement ``rho``."""
-        return _rhs_error_bound(_core.truncation_bound(self._weights, rho, FLOW_TABLE_ORDER,
-                                                       self.basis.degree), scale)
+    def _sum(self, d1, d2):
+        """The 10 rows summed from the table at the displacement (δ1, δ2)."""
+        table = self.table
+        powers = _core.displacement_powers(d1, d2, FLOW_TABLE_ORDER)
+        out = np.empty((10, table.shape[2]), dtype=complex)
+        out[:2] = table[0]
+        for t in range(1, len(powers)):
+            out[:2] += table[t] * powers[t]
+        derivs = out[2:].reshape(2, 4, -1)  # [g or h, v]: rows 2 + v and 6 + v
+        for t, raised, var, factor in _ROW_TERMS:
+            if t == 0:
+                derivs[:, var] = table[raised]
+            else:
+                derivs[:, var] += table[raised] * (factor * powers[t])
+        return out
 
     def rows(self, y):
         """The 10 kernel rows at the images y[:2], (10, n): the table's sum
@@ -252,9 +230,16 @@ class _FlowField:
         kernel (counted in ``kernel_fallbacks``)."""
         d1, d2, rho = _node_displacement(self.basis, y)
         self.max_node_displacement = max(self.max_node_displacement, rho)
-        if self.table is not None and \
-                self._error_bound(rho, max(1.0, float(np.abs(y).max()))) <= NEAR_NODE_TOL:
-            return self.table(d1, d2)
+        bounds = _core.truncation_bound(self._weights, rho, FLOW_TABLE_ORDER, self.basis.degree)
+        # the bound grows with the state's size ≥ 1: a call failing at size 1 skips the sweep
+        if _rhs_error_bound(bounds, 1.0) <= NEAR_NODE_TOL and \
+                _rhs_error_bound(bounds, max(1.0, float(np.abs(y).max()))) <= NEAR_NODE_TOL:
+            if self.table is None:
+                tables = self.basis.node_tables()
+                gh = np.zeros((len(self.basis.exponents), 2), dtype=complex)
+                gh[tables.position[tuple(self.exps.T)]] = self.cols[:, :2]
+                self.table = tables.taylor(gh, FLOW_TABLE_ORDER + 1)
+            return self._sum(d1, d2)
         self.kernel_fallbacks += 1
         return np.ascontiguousarray(_core.eval_poly(y[0], y[1], self.exps, self.cols).T)
 
@@ -365,8 +350,7 @@ class ContactDiffeo:
     (the pushed T has length κ = 2, so its errors weigh twice those of the
     images). ``kernel_fallbacks`` counts the point-kernel calls made for the
     map, by its right-hand sides and by φ∘F at its images, where the
-    near-node bound failed or the flow built no table;
-    ``max_node_displacement`` is the largest max |F(x) − x| (stage points
+    near-node bound failed; ``max_node_displacement`` is the largest max |F(x) − x| (stage points
     included) at which near-node values were asked for; ``field_norm`` the
     generator's norm that ``flow`` checked. All five are 0 for the identity.
     """
@@ -460,7 +444,7 @@ def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
         raise ValueError("compose needs an outer flow or the identity, got a composite")
     basis = inner.basis
     start = _start_state(basis) if inner.is_identity else inner.state
-    field = _FlowField(outer.generator, reach=inner.max_node_displacement)
+    field = _FlowField(outer.generator)
     y, _ = _integrate(field, start, outer.steps)
     maps = _frame_maps(basis, y)
     return ContactDiffeo(basis, None, max(outer.steps, inner.steps),

@@ -278,7 +278,7 @@ def result_to_json(result, config=None, input_sha256=None):
     return out
 
 
-HISTORY_HEADER = ["iter", "chi_norm", "xi_norm", "trunc_mass",
-                  "flow_rhs_evals", "flow_error_estimate", "contact_ratio",
+HISTORY_HEADER = ["iter", "chi_norm", "xi_norm", "contraction", "trunc_mass",
+                  "flow_steps", "flow_rhs_evals", "flow_error_estimate", "contact_ratio",
                   "kernel_fallbacks", "max_node_displacement",
                   "field_norm", "min_abs_a", "sup_phi"]

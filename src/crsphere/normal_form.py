@@ -167,6 +167,7 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
     flow_steps = steps
     flow_rhs_evals = 0
     max_flow_estimate = 0.0
+    last_residual = 0.0  # χ + ξ of the previous iteration, for the contraction
     for it in range(max_iter + 1):
         chi, xi, mu, F = _residual_state(suite, phi, g, y, psi, steps)
         chi_norm = chi.fs_norm(order)
@@ -178,7 +179,9 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
             "iter": it,
             "chi_norm": chi_norm,
             "xi_norm": xi_norm,
+            "contraction": (chi_norm + xi_norm) / last_residual if last_residual else 0.0,
             "trunc_mass": mu.coefficient.meta.get("truncation_mass", 0.0),
+            "flow_steps": F.steps,
             "flow_rhs_evals": F.rhs_evals,
             "flow_error_estimate": F.error_estimate,
             "contact_ratio": F.contact_ratio,
@@ -188,7 +191,8 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
             "min_abs_a": mu.coefficient.meta["min_abs_a"],
             "sup_phi": mu.sup,
         })
-        if chi_norm + xi_norm < tol:
+        last_residual = chi_norm + xi_norm
+        if last_residual < tol:
             converged = True
             break
         if it == max_iter:

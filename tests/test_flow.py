@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ import pytest
 from crsphere.fields import ContactField, complex_contact_norm, contact_from_generating
 from crsphere import _core
 from crsphere.basis import NonFiniteError
-from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TOL, ContactDiffeo, DeformationTensor,
-                           FlowError, NeighbourhoodError, _flow_columns, _frame_maps,
-                           _start_state, compose, e_remainder, flow, pullback_deformation,
-                           pullback_scalar)
-from crsphere.normal_form import random_deformation, solve
+from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TABLE_ORDER, FLOW_TOL, NEAR_NODE_TOL,
+                           ContactDiffeo, DeformationTensor, FlowError, NeighbourhoodError,
+                           _flow_columns, _FlowField, _frame_maps, _node_displacement, _rhs,
+                           _rhs_error_bound, _start_state, compose, e_remainder, flow,
+                           pullback_deformation, pullback_scalar)
+from crsphere.normal_form import pullback_of_zero, random_deformation, solve
 
 from conftest import cached_basis, cached_suite
 
@@ -181,7 +183,8 @@ def test_default_flow_matches_rk4_oracle(make_field, kernel):
     # (still accepted at 1 step) is the one that sees a wrong stage entry.
     # The N = 8 solver field takes every right-hand side from the Taylor
     # table at the nodes; the N = 6 one moves nodes ten times farther, past
-    # the table's bound, and it and the large one take the point kernel.
+    # the table's bound at the last four stages, and the large one at every
+    # stage, so both count point-kernel fallbacks.
     # The oracle follows one node in 13, a stride coprime to the radial and
     # torus sizes of the grid. The flow's pushed vectors are checked against
     # the oracle's ambient Jacobian applied to the frame at the nodes
@@ -195,6 +198,43 @@ def test_default_flow_matches_rk4_oracle(make_field, kernel):
     assert gap < 1e-12
     assert np.abs(F.images[::every] - images).max() < 1e-12
     assert np.abs(F.state[2:, ::every] - _pushed_frame(X.basis, jac, every)).max() < 1e-12
+
+
+def test_flow_field_sums_its_table_within_the_carried_bound():
+    # a pullback field at N = 8 fails the near-node bound at its late stages
+    # (see test_normal_form), so the table is built by the first call that
+    # passes: the start state, at δ = 0. At the stage point c = 1/5 of a
+    # 1-step flow the rows are summed from that table; they match the point
+    # kernel within each column's truncation bound, and the right-hand side
+    # within that bound carried through it, plus the roundoff of the two sums.
+    # The stage point c = 1 fails the bound and takes the kernel
+    suite = cached_suite(8)
+    X = pullback_of_zero(suite, np.random.default_rng(0), target=2e-3).x0
+    field = _FlowField(X)
+    y0 = _start_state(suite.basis)
+    assert field.table is None
+    k1 = _rhs(field, y0)
+    assert field.table is not None and field.kernel_fallbacks == 0
+    nodes = _core.eval_poly(y0[0], y0[1], field.exps, field.cols).T
+    roundoff = 1e-14 * np.abs(nodes).max(axis=1)[:, None]  # measured: 2.5e-15 of each row
+    assert (np.abs(field.rows(y0) - nodes) <= roundoff).all()
+
+    y = y0 + 0.2 * k1
+    got = field.rows(y)
+    assert field.kernel_fallbacks == 0
+    expect = _core.eval_poly(y[0], y[1], field.exps, field.cols).T
+    rho = _node_displacement(suite.basis, y)[2]
+    bound = _core.truncation_bound(field._weights, rho, FLOW_TABLE_ORDER, suite.basis.degree)
+    err = np.abs(got - expect)
+    assert (err <= bound[:, None] + roundoff).all() and err.max() > roundoff.max()
+    scale = max(1.0, float(np.abs(y).max()))
+    carried = _rhs_error_bound(bound, scale)
+    assert carried <= NEAR_NODE_TOL
+    kernel_rhs = _rhs(SimpleNamespace(rows=lambda y: expect), y)
+    assert np.abs(_rhs(field, y) - kernel_rhs).max() <= carried + 1e-14 * np.abs(kernel_rhs).max()
+
+    field.rows(y0 + k1)
+    assert field.kernel_fallbacks == 1
 
 
 def test_flow_rhs_evaluation_counts(suite6, monkeypatch):

@@ -218,7 +218,8 @@ def test_atomic_write_replaces(tmp_path):
 
 def test_csv_roundtrip_with_preamble(tmp_path):
     path = tmp_path / "t.csv"
-    flow_cols = {"flow_rhs_evals": 0, "flow_error_estimate": 0.0, "contact_ratio": 0.0,
+    flow_cols = {"contraction": 0.0, "flow_steps": 0,
+                 "flow_rhs_evals": 0, "flow_error_estimate": 0.0, "contact_ratio": 0.0,
                  "kernel_fallbacks": 0, "max_node_displacement": 0.0,
                  "field_norm": 0.0, "min_abs_a": 1.0, "sup_phi": 0.5}
     rows = [{"iter": 0, "chi_norm": 0.5, "xi_norm": 0.0, "trunc_mass": 1e-16, **flow_cols},
