@@ -24,7 +24,6 @@ from .flow import (
     DeformationTensor,
     FlowError,
     NeighbourhoodError,
-    compose,
     e_remainder,
     pullback_deformation,
     pullback_scalar,
@@ -74,7 +73,6 @@ __all__ = [
     "build_basis",
     "complex_contact",
     "complex_contact_norm",
-    "compose",
     "contact_from_generating",
     "contraction_t",
     "decompose",

@@ -17,11 +17,12 @@ under the same contract; they differ in how they form the sum.
   call. Per block the temporaries are the two pair tables (_BLOCK × pairs)
   and one product with M (_BLOCK × pairs·k), 0.4 MB each at N = 12 and
   k = 1; no monomial design is built.
-* ``eval_poly`` serves the flow right-hand side (``flow._rhs``) where the
-  near-node bound fails: 10 columns (g, h and their four ambient
-  derivatives) on the 33–819 monomial rows that the field keeps, at the
-  images in the flow state; ``_rhs`` takes the result as 10 rows and pairs
-  the derivative rows with the pushed frame vectors.
+* ``eval_poly`` serves the rows of the flow right-hand side
+  (``flow._FlowField.rows``) where the near-node bound fails: 10 columns
+  (g, h and their four ambient derivatives) on the 33–819 monomial rows
+  that the field keeps, at the images in the flow state; ``flow._rhs``
+  takes the result as 10 rows and pairs the derivative rows with the
+  pushed frame vectors.
   There one BLAS product of the monomial design (rows × _BLOCK) with the
   columns beat the bilinear form 1.6–3.3× (N = 8, 285 and 33 rows), whose
   product with M is 10 columns wide. The design and one indexed factor are
@@ -51,7 +52,7 @@ r2 = sqrt(u_r), so the scatter puts r1^{a1+b1} r2^{a2+b2} on the torus slot
 (a1 − b1, a2 − b2) of each radial node, and one batched inverse 2-D FFT gives
 the node values of every column at once (``torus_values``, which
 ``Basis.synthesize`` uses too; |a1 − b1| ≤ N < n_phi/2, so no slot aliases).
-``NodeTables.taylor`` builds T_β for |β| ≤ K, a ``NodeTaylor`` sums it at
+``NodeTables.taylor`` builds T_β for |β| ≤ K, ``taylor_sum`` sums it at
 x + δ, and ``truncation_bound`` bounds what the terms |β| > K leave out.
 ``Basis.node_tables`` builds the tables on first use, so a run whose flows
 are all identities never builds them.
@@ -289,21 +290,16 @@ class NodeTables:
         return self.values(derivs.reshape(m, terms * k)).reshape(terms, k, -1)
 
 
-class NodeTaylor:
-    """A Taylor table at the grid nodes: ``values[t]`` (k, n) is T_β for
-    β = ``multi_indices(order)[t]``. Called with the displacements (δ1, δ2)
-    of the nodes it returns Σ_β T_β δ^β, (k, n); ``truncation_bound`` bounds
-    what that leaves out."""
-
-    def __init__(self, values, order):
-        self.values = values
-        self.order = order
-
-    def __call__(self, d1, d2):
-        out = self.values[0].copy()
-        for t, power in enumerate(displacement_powers(d1, d2, self.order)[1:], start=1):
-            out += self.values[t] * power
-        return out
+def taylor_sum(values, powers):
+    """Σ_β T_β δ^β, (k, n), from a Taylor table at the grid nodes, whose
+    ``values[t]`` (k, n) is T_β for β = ``multi_indices(order)[t]``, and the
+    ``displacement_powers`` δ^β of an order at most the table's: the leading
+    terms of a table are those of every lower order. ``truncation_bound``
+    bounds what the sum leaves out."""
+    out = values[0].copy()
+    for t in range(1, len(powers)):
+        out += values[t] * powers[t]
+    return out
 
 
 def displacement_powers(d1, d2, order):

@@ -40,6 +40,7 @@ quadrature sums of a dense nodes-by-basis matrix, so aliasing is unchanged.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -362,6 +363,26 @@ class SpectralScalar:
 
     def __neg__(self):
         return SpectralScalar(self.basis, -self.coeffs)
+
+
+class Componentwise:
+    """Linear arithmetic for a dataclass whose fields are spectral scalars,
+    field by field: the sum and difference of two instances, and a multiple
+    by a number."""
+
+    def _parts(self):
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
+
+    def __add__(self, other):
+        return type(self)(*[a + b for a, b in zip(self._parts(), other._parts())])
+
+    def __sub__(self, other):
+        return type(self)(*[a - b for a, b in zip(self._parts(), other._parts())])
+
+    def __mul__(self, scalar):
+        return type(self)(*[a * scalar for a in self._parts()])
+
+    __rmul__ = __mul__
 
 
 def build_basis(degree):

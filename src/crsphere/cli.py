@@ -44,7 +44,7 @@ from . import _core
 from . import io as _io
 from . import normal_form as nf
 from .basis import build_basis
-from .fields import complex_contact, complex_contact_norm, contact_from_generating, pi_im, pi_re
+from .fields import complex_contact, pi_im, pi_re
 from .flow import (COMPOSED_TABLE_ORDER, DEFAULT_FLOW_STEPS, MAX_FLOW_STEPS, FlowError,
                    NeighbourhoodError, flow)
 from .geometry import monomial_moment
@@ -315,9 +315,9 @@ def identity_battery(suite: OperatorSuite, rng):
     size = 1e-7 * rng.random((2, grid.n_nodes))
     d1, d2 = size * np.exp(2j * np.pi * rng.random((2, grid.n_nodes)))
     order = COMPOSED_TABLE_ORDER
-    table = _core.NodeTaylor(basis.node_tables().taylor(column, order), order)
+    table = basis.node_tables().taylor(column, order)
     exact = _core.eval_poly(z1 + d1, z2 + d2, basis.exponents, column)[:, 0]
-    err = np.abs(table(d1, d2)[0] - exact)
+    err = np.abs(_core.taylor_sum(table, _core.displacement_powers(d1, d2, order))[0] - exact)
     rho = max(float(np.abs(d1).max()), float(np.abs(d2).max()))
     bound = _core.truncation_bound(_core.truncation_weights(basis.exponents, column, order),
                                    rho, order, basis.degree)[0]
@@ -385,11 +385,7 @@ def _load_generator(suite, spec, config):
     """A stored contact field (JSON path) or a drawn one of norm ``spec``."""
     if isinstance(spec, str):
         return _io.contact_field_from_json(suite, _io.read_json(spec))
-    rng = np.random.default_rng([config.seed, 1])
-    cols = nf.harmonic_free_basis(suite)
-    g_raw = suite.basis.scalar(cols @ rng.standard_normal(cols.shape[1]))
-    g = g_raw.real_part() * (spec / complex_contact_norm(g_raw, config.s))
-    return contact_from_generating(suite, g)
+    return nf.harmonic_free_field(suite, np.random.default_rng([config.seed, 1]), spec, config.s)
 
 
 def cmd_slice(args, config):

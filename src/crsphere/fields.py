@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NonFiniteError, SpectralScalar
+from .basis import Componentwise, NonFiniteError, SpectralScalar
 from .operators import HolField, OperatorSuite
 
 
 @dataclass
-class ContactField:
+class ContactField(Componentwise):
     """A real contact vector field X = g T + h Z + h̄ Z̄, g = X⌟η real."""
 
     generating: SpectralScalar
@@ -45,20 +45,9 @@ class ContactField:
         defect = suite.dbar_scalar(self.generating).a + suite.lam_flat * self.horizontal
         return defect.fs_norm(order)
 
-    def __add__(self, other):
-        return ContactField(self.generating + other.generating, self.horizontal + other.horizontal)
-
-    def __sub__(self, other):
-        return ContactField(self.generating - other.generating, self.horizontal - other.horizontal)
-
-    def __mul__(self, scalar):
-        return ContactField(self.generating * scalar, self.horizontal * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass
-class ComplexContactField:
+class ComplexContactField(Componentwise):
     """Z_f = f T − (∂̄f)♯, parameterized by the complex scalar f."""
 
     parameter: SpectralScalar
@@ -78,17 +67,6 @@ class ComplexContactField:
         """∂̄_b(Z⌟η) + π^{(0,1)}(Z⌟dη) evaluated in the frame."""
         defect = suite.dbar_scalar(self.parameter).a + suite.lam_flat * self.horizontal
         return defect.fs_norm(order)
-
-    def __add__(self, other):
-        return ComplexContactField(self.parameter + other.parameter, self.horizontal + other.horizontal)
-
-    def __sub__(self, other):
-        return ComplexContactField(self.parameter - other.parameter, self.horizontal - other.horizontal)
-
-    def __mul__(self, scalar):
-        return ComplexContactField(self.parameter * scalar, self.horizontal * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass

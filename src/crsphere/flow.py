@@ -57,20 +57,20 @@ to the basis. The composition factor φ∘F may be frozen at a different
 diffeomorphism (the remainder E and the contraction map need that variant).
 
 The identity is marked explicitly (``ContactDiffeo.is_identity``), never
-inferred from a missing generator, because a composite also has none. Its
-frame maps are the exact 3×3 identity, and f∘F at its images (the nodes)
-is the FFT synthesis ``f.values()``; it builds no Taylor table. Every solve
-starts at X = 0, so its first pullback evaluates no polynomial.
+inferred from a missing generator. Its frame maps are the exact 3×3
+identity, and f∘F at its images (the nodes) is the FFT synthesis
+``f.values()``; it builds no Taylor table. Every solve starts at X = 0, so
+its first pullback evaluates no polynomial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _core
-from .basis import Basis, NonFiniteError, SpectralScalar
+from .basis import Basis, Componentwise, NonFiniteError, SpectralScalar
 from .fields import ContactField
 from .operators import FieldForm01, OperatorSuite
 
@@ -105,7 +105,7 @@ class NeighbourhoodError(RuntimeError):
 
 
 @dataclass
-class DeformationTensor:
+class DeformationTensor(Componentwise):
     """Deformation coefficient φ in φ ω̄⊗Z (H-valued; ``sup`` = max |φ| < 1 at the nodes)."""
 
     coefficient: SpectralScalar
@@ -126,17 +126,6 @@ class DeformationTensor:
 
     def as_field_form(self) -> FieldForm01:
         return FieldForm01(self.basis.zero(), self.coefficient)
-
-    def __add__(self, other):
-        return DeformationTensor(self.coefficient + other.coefficient)
-
-    def __sub__(self, other):
-        return DeformationTensor(self.coefficient - other.coefficient)
-
-    def __mul__(self, scalar):
-        return DeformationTensor(self.coefficient * scalar)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +202,7 @@ class _FlowField:
         table = self.table
         powers = _core.displacement_powers(d1, d2, FLOW_TABLE_ORDER)
         out = np.empty((10, table.shape[2]), dtype=complex)
-        out[:2] = table[0]
-        for t in range(1, len(powers)):
-            out[:2] += table[t] * powers[t]
+        out[:2] = _core.taylor_sum(table, powers)
         derivs = out[2:].reshape(2, 4, -1)  # [g or h, v]: rows 2 + v and 6 + v
         for t, raised, var, factor in _ROW_TERMS:
             if t == 0:
@@ -298,22 +285,19 @@ def _advance(y, dt, weights, stages):
     return y
 
 
-def _integrate(field, y, steps, estimate=False):
+def _integrate(field, y, steps):
     """Time-1 DOPRI5 integration of the state, re-projecting the images to
-    S³ after each step. Returns the state and, with ``estimate``, the sum
-    over steps of max |y5 − y4| over the state before re-projection (7 RHS
-    calls a step); without it the seventh stage is skipped (6 calls a step)
-    and the estimate is None."""
+    S³ after each step (7 RHS calls a step). Returns the state and the sum
+    over steps of max |y5 − y4| over the state before re-projection."""
     dt = 1.0 / steps
-    total = 0.0 if estimate else None
+    total = 0.0
     for _ in range(steps):
         stages = [_rhs(field, y)]
         for row in _DP_A:
             stages.append(_rhs(field, _advance(y, dt, row, stages)))
         y = _advance(y, dt, _DP_B, stages)
-        if estimate:
-            stages.append(_rhs(field, y))
-            total += float(np.abs(_advance(0.0, dt, _DP_E, stages)).max())
+        stages.append(_rhs(field, y))
+        total += float(np.abs(_advance(0.0, dt, _DP_E, stages)).max())
         y[:2] /= np.sqrt(np.abs(y[:1]) ** 2 + np.abs(y[1:2]) ** 2)
     return y, total
 
@@ -338,7 +322,7 @@ def _contact_ratio(maps):
     return float((off / eta_t).max())
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContactDiffeo:
     """Time-1 flow data at the quadrature nodes of a basis.
 
@@ -348,11 +332,13 @@ class ContactDiffeo:
     counts the RHS evaluations behind the map, rejected step counts included;
     ``error_estimate`` is the accepted flow's embedded estimate over the state
     (the pushed T has length κ = 2, so its errors weigh twice those of the
-    images). ``kernel_fallbacks`` counts the point-kernel calls made for the
-    map, by its right-hand sides and by φ∘F at its images, where the
-    near-node bound failed; ``max_node_displacement`` is the largest max |F(x) − x| (stage points
-    included) at which near-node values were asked for; ``field_norm`` the
-    generator's norm that ``flow`` checked. All five are 0 for the identity.
+    images). ``kernel_fallbacks`` counts the right-hand-side calls that took
+    the point kernel because the near-node bound failed, and
+    ``max_node_displacement`` is the largest max |y − x| over the stage points
+    y at which they asked for near-node values; φ∘F at the images records its
+    own count and displacement on the pulled-back tensor's ``meta``
+    (``pullback_deformation``). ``field_norm`` is the generator's norm that
+    ``flow`` checked. All five are 0 for the identity.
     """
 
     basis: Basis
@@ -416,7 +402,7 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     n_steps, rhs_evals = steps, 0
     while True:
         # the start state is rebuilt per attempt, so no copy outlives the first step
-        y, estimate = _integrate(field, _start_state(basis), n_steps, estimate=True)
+        y, estimate = _integrate(field, _start_state(basis), n_steps)
         rhs_evals += 7 * n_steps
         maps = _frame_maps(basis, y)
         ratio = _contact_ratio(maps)
@@ -432,29 +418,6 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
         n_steps *= 2
 
 
-def compose(outer: ContactDiffeo, inner: ContactDiffeo) -> ContactDiffeo:
-    """The diffeomorphism outer ∘ inner: inner's state transported along
-    outer's flow at outer's accepted step count with no estimate stage, so
-    ``rhs_evals`` adds 6 per step to inner's and the estimate is the sum of
-    the two. The outer map must be the identity or a flow: a composite has
-    no generator to integrate."""
-    if outer.is_identity:
-        return replace(inner, generator=None)
-    if outer.generator is None:
-        raise ValueError("compose needs an outer flow or the identity, got a composite")
-    basis = inner.basis
-    start = _start_state(basis) if inner.is_identity else inner.state
-    field = _FlowField(outer.generator)
-    y, _ = _integrate(field, start, outer.steps)
-    maps = _frame_maps(basis, y)
-    return ContactDiffeo(basis, None, max(outer.steps, inner.steps),
-                         y, maps, _contact_ratio(maps),
-                         rhs_evals=inner.rhs_evals + 6 * outer.steps,
-                         error_estimate=inner.error_estimate + outer.error_estimate,
-                         kernel_fallbacks=inner.kernel_fallbacks + field.kernel_fallbacks,
-                         max_node_displacement=field.max_node_displacement)
-
-
 # ---------------------------------------------------------------------------
 # pullbacks
 
@@ -463,25 +426,27 @@ def _composed_values(f: SpectralScalar, F: ContactDiffeo):
     """f ∘ F at the nodes: the FFT synthesis for the identity; otherwise the
     order-2 Taylor table of f at the nodes, summed at F's displacement when
     its bound there is at most NEAR_NODE_TOL times max |f| over the nodes
-    (its order-0 row), else f evaluated at F's images (counted on F)."""
+    (its order-0 row), else f evaluated at F's images. Returns the values
+    and {"kernel_fallbacks": 0 or 1, "node_displacement": max |F(x) − x|}."""
     if F.is_identity:
-        return f.values()
+        return f.values(), {"kernel_fallbacks": 0, "node_displacement": 0.0}
     basis = f.basis
     d1, d2, rho = _node_displacement(basis, F.state)
-    F.max_node_displacement = max(F.max_node_displacement, rho)
     column = basis.monomial_coefficients(f.coeffs)[:, None]
     values = basis.node_tables().taylor(column, COMPOSED_TABLE_ORDER)
     weights = _core.truncation_weights(basis.exponents, column, COMPOSED_TABLE_ORDER)
     bound = _core.truncation_bound(weights, rho, COMPOSED_TABLE_ORDER, basis.degree)[0]
-    if bound <= NEAR_NODE_TOL * float(np.abs(values[0]).max()):
-        return _core.NodeTaylor(values, COMPOSED_TABLE_ORDER)(d1, d2)[0]
-    F.kernel_fallbacks += 1
-    return f.eval(F.images[:, 0], F.images[:, 1])
+    fallback = not bound <= NEAR_NODE_TOL * float(np.abs(values[0]).max())
+    if fallback:
+        out = f.eval(F.images[:, 0], F.images[:, 1])
+    else:
+        out = _core.taylor_sum(values, _core.displacement_powers(d1, d2, COMPOSED_TABLE_ORDER))[0]
+    return out, {"kernel_fallbacks": int(fallback), "node_displacement": rho}
 
 
 def pullback_scalar(F: ContactDiffeo, f: SpectralScalar) -> SpectralScalar:
     """f ∘ F at the nodes (see ``_composed_values``), then projection."""
-    return F.basis.project_with_mass(_composed_values(f, F))
+    return F.basis.project_with_mass(_composed_values(f, F)[0])
 
 
 def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
@@ -490,10 +455,12 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     with min |A| over the nodes on its coefficient's ``meta["min_abs_a"]``.
 
     ``composition_values`` freezes the φ∘F factor at given nodewise values
-    (used by the remainder map); by default it is φ∘F (``_composed_values``).
+    (used by the remainder map); by default it is φ∘F (``_composed_values``),
+    whose counts go on the ``meta`` too.
     """
+    counts = {}
     if composition_values is None:
-        composition_values = _composed_values(phi.coefficient, F)
+        composition_values, counts = _composed_values(phi.coefficient, F)
     # ω and ω̄ at F(x) of dF Z and dF Z̄ are columns 1 and 2 of the frame maps
     maps = F.frame_maps
     a_vals = maps[:, 1, 1] + composition_values * maps[:, 2, 1]
@@ -501,7 +468,8 @@ def pullback_deformation(F: ContactDiffeo, phi: DeformationTensor,
     min_a = float(np.abs(a_vals).min())
     if not min_a >= _MIN_ABS_A:  # a NaN fails this too
         raise NeighbourhoodError(f"structure left the parameterized neighbourhood (|A| = {min_a:.3f})")
-    return DeformationTensor(F.basis.project_with_mass(b_vals / a_vals, min_abs_a=min_a))
+    mu = F.basis.project_with_mass(b_vals / a_vals, min_abs_a=min_a, **counts)
+    return DeformationTensor(mu)
 
 
 def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,
@@ -514,7 +482,7 @@ def e_remainder(suite: OperatorSuite, X: ContactField, phi: DeformationTensor,
     basis = X.basis
     F = flow(X, steps=steps)
     Fc = F if compose_with is None else compose_with
-    comp_values = _composed_values(phi.coefficient, Fc)
+    comp_values, _ = _composed_values(phi.coefficient, Fc)
     mu = pullback_deformation(F, phi, composition_values=comp_values)
     dbar_x = suite.dbar_field(X.as_hol_field())
     comp_proj = basis.from_values(comp_values)

@@ -175,20 +175,21 @@ def solve(suite: OperatorSuite, phi: DeformationTensor, tol=DEFAULT_TOL,
         flow_steps = max(flow_steps, F.steps)
         flow_rhs_evals += F.rhs_evals
         max_flow_estimate = max(max_flow_estimate, F.error_estimate)
+        meta = mu.coefficient.meta
         history.append({
             "iter": it,
             "chi_norm": chi_norm,
             "xi_norm": xi_norm,
             "contraction": (chi_norm + xi_norm) / last_residual if last_residual else 0.0,
-            "trunc_mass": mu.coefficient.meta.get("truncation_mass", 0.0),
+            "trunc_mass": meta.get("truncation_mass", 0.0),
             "flow_steps": F.steps,
             "flow_rhs_evals": F.rhs_evals,
             "flow_error_estimate": F.error_estimate,
             "contact_ratio": F.contact_ratio,
-            "kernel_fallbacks": F.kernel_fallbacks,
-            "max_node_displacement": F.max_node_displacement,
+            "kernel_fallbacks": F.kernel_fallbacks + meta["kernel_fallbacks"],
+            "max_node_displacement": max(F.max_node_displacement, meta["node_displacement"]),
             "field_norm": F.field_norm,
-            "min_abs_a": mu.coefficient.meta["min_abs_a"],
+            "min_abs_a": meta["min_abs_a"],
             "sup_phi": mu.sup,
         })
         last_residual = chi_norm + xi_norm
@@ -419,6 +420,16 @@ def harmonic_free_basis(suite: OperatorSuite, max_degree=4):
     return np.array(cols).T
 
 
+def harmonic_free_field(suite: OperatorSuite, rng, target, order=DEFAULT_ORDER,
+                        max_degree=4) -> ContactField:
+    """A real contact field drawn over ``harmonic_free_basis``, at the order-
+    ``order`` norm ``target`` of its raw (complex) generating function."""
+    cols = harmonic_free_basis(suite, max_degree)
+    g_raw = suite.basis.scalar(cols @ rng.standard_normal(cols.shape[1]))
+    g = g_raw.real_part() * (target / complex_contact_norm(g_raw, order))
+    return contact_from_generating(suite, g)
+
+
 @dataclass
 class PullbackInstance:
     phi: DeformationTensor
@@ -433,14 +444,10 @@ def pullback_of_zero(suite: OperatorSuite, rng, target=2e-3, order=DEFAULT_ORDER
     automorphism component of X₀ would reappear as a harmonic Y of the
     same size in the gauge-fixed normal form.
     """
-    basis = suite.basis
-    cols = harmonic_free_basis(suite, max_degree)
-    g_raw = basis.scalar(cols @ rng.standard_normal(cols.shape[1]))
-    g = g_raw.real_part() * (target / complex_contact_norm(g_raw, order))
-    x0 = contact_from_generating(suite, g)
+    x0 = harmonic_free_field(suite, rng, target, order, max_degree)
     F = flow(x0, steps=steps)
     # φ = 0, so φ∘F is 0 and needs no evaluation at F's images
-    phi = pullback_deformation(F, DeformationTensor(basis.zero()), composition_values=0.0)
+    phi = pullback_deformation(F, DeformationTensor(suite.basis.zero()), composition_values=0.0)
     return PullbackInstance(phi, x0)
 
 

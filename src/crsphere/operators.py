@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import Basis, NonFiniteError, SpectralScalar
+from .basis import Basis, Componentwise, NonFiniteError, SpectralScalar
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ from .basis import Basis, NonFiniteError, SpectralScalar
 
 
 @dataclass
-class ScalarForm01:
+class ScalarForm01(Componentwise):
     """A scalar (0,1)-form α = a ω̄."""
 
     a: SpectralScalar
@@ -77,20 +77,9 @@ class ScalarForm01:
         weight = 1.0 / float(self.a.basis.geometry.levi)
         return np.sqrt(weight) * self.a.fs_norm(order)
 
-    def __add__(self, other):
-        return ScalarForm01(self.a + other.a)
-
-    def __sub__(self, other):
-        return ScalarForm01(self.a - other.a)
-
-    def __mul__(self, scalar):
-        return ScalarForm01(self.a * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass
-class HolField:
+class HolField(Componentwise):
     """A section V = f T + h Z of the holomorphic tangent sum C·T ⊕ H₍₁,₀₎."""
 
     f: SpectralScalar
@@ -100,20 +89,9 @@ class HolField:
         levi = float(self.f.basis.geometry.levi)
         return float(np.sqrt(self.f.fs_norm(order) ** 2 + levi * self.h.fs_norm(order) ** 2))
 
-    def __add__(self, other):
-        return HolField(self.f + other.f, self.h + other.h)
-
-    def __sub__(self, other):
-        return HolField(self.f - other.f, self.h - other.h)
-
-    def __mul__(self, scalar):
-        return HolField(self.f * scalar, self.h * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass
-class FieldForm01:
+class FieldForm01(Componentwise):
     """A field-valued (0,1)-form Φ = (p ω̄)⊗T + (q ω̄)⊗Z.
 
     Deformation tensors are the H-valued case p = 0.
@@ -128,17 +106,6 @@ class FieldForm01:
 
     def h_valued_defect(self, order=0):
         return np.sqrt(1.0 / float(self.p.basis.geometry.levi)) * self.p.fs_norm(order)
-
-    def __add__(self, other):
-        return FieldForm01(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other):
-        return FieldForm01(self.p - other.p, self.q - other.q)
-
-    def __mul__(self, scalar):
-        return FieldForm01(self.p * scalar, self.q * scalar)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Contact flows: closed forms, group structure, pullbacks, remainder."""
 
+import dataclasses
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -12,9 +13,9 @@ from crsphere import _core
 from crsphere.basis import NonFiniteError
 from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TABLE_ORDER, FLOW_TOL, NEAR_NODE_TOL,
                            ContactDiffeo, DeformationTensor, FlowError, NeighbourhoodError,
-                           _flow_columns, _FlowField, _frame_maps, _node_displacement, _rhs,
-                           _rhs_error_bound, _start_state, compose, e_remainder, flow,
-                           pullback_deformation, pullback_scalar)
+                           _flow_columns, _FlowField, _frame_maps, _integrate,
+                           _node_displacement, _rhs, _rhs_error_bound, _start_state, e_remainder,
+                           flow, pullback_deformation, pullback_scalar)
 from crsphere.normal_form import pullback_of_zero, random_deformation, solve
 
 from conftest import cached_basis, cached_suite
@@ -270,11 +271,19 @@ def test_contact_ratio_small(suite6):
         assert F.contact_ratio < 1e-8
 
 
+def _transported(outer, inner):
+    """The oracle of outer ∘ inner for two moving flows: inner's state carried
+    along outer's field at outer's accepted step count, with its frame maps."""
+    basis = inner.basis
+    y, _ = _integrate(_FlowField(outer.generator), inner.state, outer.steps)
+    return ContactDiffeo(basis, None, outer.steps, y, _frame_maps(basis, y))
+
+
 def test_inverse_flow_composes_to_identity(suite6):
     X = small_field(suite6, 62, 5e-3)
     F = flow(X, steps=16)
     Finv = flow(-1.0 * X, steps=16)
-    G = compose(Finv, F)
+    G = _transported(Finv, F)
     z1, z2 = suite6.basis.grid.z1, suite6.basis.grid.z2
     err = max(np.max(np.abs(G.images[:, 0] - z1)), np.max(np.abs(G.images[:, 1] - z2)))
     assert err < 1e-8
@@ -304,7 +313,7 @@ def test_pullback_respects_composition(suite6):
     X = small_field(suite6, 63, 4e-3)
     W = small_field(suite6, 64, 3e-3)
     FX, FW = flow(X, steps=16), flow(W, steps=16)
-    FXW = compose(FW, FX)       # first X, then W
+    FXW = _transported(FW, FX)  # first X, then W
     rng = np.random.default_rng(65)
     f = suite6.basis.random_scalar(rng, max_degree=3)
     once = pullback_scalar(FXW, f)
@@ -347,13 +356,30 @@ def test_pullback_matches_explicit_frame_pushforward(suite6):
     expect = basis.project_with_mass(b_vals / a_vals)
     got = pullback_deformation(F, phi).coefficient
     assert np.array_equal(got.coeffs, expect.coeffs)
-    assert got.meta == {**expect.meta, "min_abs_a": float(np.abs(a_vals).min())}
     nodes = np.stack([basis.grid.z1, basis.grid.z2], axis=1)
+    # φ∘F is evaluated at the images, as the bound fails there
+    assert got.meta == {**expect.meta, "min_abs_a": float(np.abs(a_vals).min()),
+                        "kernel_fallbacks": 1, "node_displacement": np.abs(F.images - nodes).max()}
     assert np.abs(F.images - nodes).max() > 1e-3 and np.abs(comp).max() > 0.0
     every = 13
     images, jac, _ = _rk4_oracle(X, 256, every)
     assert np.abs(F.images[::every] - images).max() < 1e-12
     assert np.abs(y[4:, ::every] - _pushed_frame(basis, jac, every)[2:]).max() < 1e-12
+
+
+def test_pullback_records_its_counts_and_leaves_the_flow_frozen(suite6):
+    # φ∘F of the field above takes the point kernel at F's images; each
+    # pullback records that on its tensor's meta, and the flow keeps the
+    # counts of its own right-hand sides
+    basis = suite6.basis
+    F = flow(small_field(suite6, 74, 0.2, max_degree=3), steps=16)
+    phi = random_deformation(basis, np.random.default_rng(75), 5e-3)
+    before = (F.kernel_fallbacks, F.max_node_displacement)
+    for _ in range(2):
+        assert pullback_deformation(F, phi).coefficient.meta["kernel_fallbacks"] == 1
+        assert (F.kernel_fallbacks, F.max_node_displacement) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        F.kernel_fallbacks = 0
 
 
 def _flow_columns_per_monomial(X):
@@ -482,40 +508,6 @@ def test_truncation_mass_recorded(suite6):
     assert pulled.meta["truncation_mass"] >= 0.0
 
 
-def test_compose_tracks_generator_none(suite6):
-    X = small_field(suite6, 71, 2e-3)
-    F = flow(X, steps=16)
-    G = compose(F, F)
-    assert G.generator is None
-    assert G.steps == F.steps
-    assert G.rhs_evals == F.rhs_evals + 6 * F.steps
-    assert not G.is_identity
-
-
-def test_compose_with_composite_outer_raises(suite6):
-    # a composite has no generator to integrate; it used to be read as the
-    # identity, so compose(F∘F, F) returned F's images unchanged
-    X = small_field(suite6, 78, 4e-3)
-    F = flow(X, steps=16)
-    with pytest.raises(ValueError, match="composite"):
-        compose(compose(F, F), F)
-    # a composite inner is fine: F∘(F∘F) is the flow of 3X
-    cubed = compose(F, compose(F, F))
-    ref = flow(3.0 * X, steps=64)
-    assert np.abs(cubed.images - ref.images).max() < 1e-12
-
-
-def test_compose_of_identities_is_identity(suite6):
-    ident = ContactDiffeo.identity(suite6.basis)
-    assert compose(ident, ident).is_identity
-    F = flow(small_field(suite6, 79, 2e-3), steps=16)
-    for G in (compose(ident, F), compose(F, ident)):
-        assert not G.is_identity
-        assert G.state.shape == F.state.shape == (8, suite6.basis.grid.n_nodes)
-        assert np.abs(G.state - F.state).max() < 1e-15
-        assert np.abs(G.frame_maps - F.frame_maps).max() < 1e-15
-
-
 @pytest.mark.parametrize("degree", [6, 8])
 def test_identity_frame_maps_match_computed(degree):
     # the oracle: the frame maps of the start state computed from the forms,
@@ -575,3 +567,12 @@ def test_package_attribute_flow_is_the_module():
     # attribute must stay the module so that it can be inspected and patched
     import crsphere
     assert crsphere.flow is sys.modules["crsphere.flow"]
+
+
+def test_public_names_resolve():
+    import crsphere
+    for name in crsphere.__all__:
+        assert hasattr(crsphere, name), name
+    namespace = {}
+    exec("from crsphere import *", namespace)
+    assert set(crsphere.__all__) <= set(namespace)
