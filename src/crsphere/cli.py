@@ -107,7 +107,7 @@ CONFIG_HELP = {
     "tol": "residual tolerance for the iteration",
     "max_iter": "iteration cap before giving up",
     "eps": "neighbourhood radius: inputs above this norm are rejected",
-    "steps": "Dormand-Prince 5(4) steps per contact flow, doubled until the embedded "
+    "steps": "Cash-Karp 5(4) steps per contact flow, doubled until the embedded "
              f"error estimate passes, 1 to {MAX_FLOW_STEPS}",
     "seed": "non-negative seed for anything random",
 }

@@ -19,14 +19,13 @@ of dF·T, dF·Z and dF·Z̄ are the conjugated dz-components of dF·T, dF·Z̄ a
 dF·Z. The state is one (8, n) array (``ContactDiffeo``), and every
 right-hand-side operation is a broadcast over its contiguous rows.
 
-The state advances by the Dormand–Prince 5(4) pair (Dormand and Prince,
-J. Comput. Appl. Math. 6, 1980; Hairer, Nørsett and Wanner, Solving ODEs I,
-§II.5), whose embedded 4th-order solution certifies the step count: a flow is
-accepted when the sum over its steps of max |y5 − y4| over the state, taken
-before the re-projection to S³, is at most FLOW_TOL and its contact ratio is
-within CONTACT_RATIO_TOL. The ratio alone cannot see phase error: the Hopf
-rotation pushes each frame vector to a unimodular multiple of the frame at
-the image, so the ratio stays at roundoff whatever the step count.
+The state advances by the Cash–Karp 5(4) pair (Cash and Karp, ACM Trans.
+Math. Softw. 16, 1990), whose embedded 4th-order solution certifies the step
+count: a flow is accepted when the sum over its steps of max |y5 − y4| over
+the state, taken before the re-projection to S³, is at most FLOW_TOL and its
+contact ratio is within CONTACT_RATIO_TOL. The ratio alone cannot see phase
+error: the Hopf rotation pushes each frame vector to a unimodular multiple of
+the frame at the image, so the ratio stays at roundoff whatever the steps.
 
 Near-node evaluation. A solver flow moves each node by a few 1e-6 at most.
 Each right-hand-side call bounds the truncation error of the order-1 Taylor
@@ -35,18 +34,19 @@ at its own displacement δ = y − x (``_FlowField``). Where the bound is at mos
 NEAR_NODE_TOL the call sums the table at δ, built by the first such call of
 the flow; otherwise it takes the point kernel ``_core.eval_poly``, counted in
 ``ContactDiffeo.kernel_fallbacks``. The bound grows as max |δ|², so the early
-stages of a DOPRI step may pass where the late ones fail: on the solver's
-pullback fields at N = 8 and 12 and its random fields at N = 6, the stages
-c = 0, 1/5 and 3/10 pass (the last at 0.3 to 0.95 of the tolerance) and
-c = 4/5, 8/9, 1 and 1 take the kernel; its random fields at N ≥ 8 pass at
-every stage. The table changes each right-hand side by at most NEAR_NODE_TOL,
-so the unit-size state by at most Σ|bᵢ| NEAR_NODE_TOL ≈ 0.8 NEAR_NODE_TOL over
-time 1, and that shift passes into the pulled-back tensor unchanged. With
-NEAR_NODE_TOL = 1e-14 solve outputs moved from the point kernel's by at most
-2.4e-13 of their size at N = 8 and 12, and by 1.4e-12 at N = 6, where random
-solves give outputs near 1e-6. f∘F on a moving flow is the order-2 Taylor
-table of f at the nodes in the same way, checked relative to max |f| at the
-nodes, with ``_core.eval_bilinear`` as its fallback.
+stages of a step may pass where the late ones fail: on the solver's pullback
+fields at N = 6, 8 and 12, the stages c = 0, 1/5 and 3/10 pass (the last at
+0.3 to 0.95 of the tolerance) and c = 3/5, 1 and 7/8 take the kernel; its
+random fields take it at two to six stages at N = 6 and at none at N ≥ 8.
+The table changes each right-hand side by at most NEAR_NODE_TOL, so the
+unit-size state by at most Σ|bᵢ| NEAR_NODE_TOL = NEAR_NODE_TOL over time 1
+(the weights are nonnegative), and that shift passes into the pulled-back
+tensor unchanged. With NEAR_NODE_TOL = 1e-14 solve outputs moved from the
+point kernel's by at most 1.4e-13 of their largest entry at N = 8 and 12, and
+by 1.3e-12 at N = 6, where random solves give outputs near 1e-6. f∘F on a
+moving flow is the order-2 Taylor table of f at the nodes in the same way,
+checked relative to max |f| at the nodes, with ``_core.eval_bilinear`` as its
+fallback.
 
 Deformation pullbacks follow the frame recipe: with ω̂ = ω + (φ∘F) ω̄,
 
@@ -83,10 +83,10 @@ FLOW_NORM_ORDER = 6
 # near-node evaluation: the largest certified error that a Taylor table may
 # add to a right-hand side (absolute: the state is of unit size) or to f∘F
 # (relative to max |f| at the nodes), checked on every call at that call's
-# displacement, and the table orders. An order-2 table of the rows (70
-# transforms) cost more than the point kernel's seven calls of a flow at
-# N = 8, and an order-1 table of f∘F never passed on a solver flow, so
-# neither order is searched.
+# displacement, and the table orders. An order-1 table of f∘F never passed
+# on a solver flow; order-2 rows from an order-3 table (70 transforms) at the
+# stages failing at order 1 left no kernel call, but pullback-n8 solves were
+# no faster and gens slower (16.5 vs 12.2 ms). Neither order is searched.
 NEAR_NODE_TOL = 1e-14
 FLOW_TABLE_ORDER = 1
 COMPOSED_TABLE_ORDER = 2
@@ -262,19 +262,19 @@ def _rhs(field: _FlowField, y):
     return dy
 
 
-# Dormand–Prince 5(4) for an autonomous field (Solving ODEs I, Table II.5.2):
-# rows 2 to 6 of the stage matrix A; the 5th-order weights B over stages 1 to
-# 6, which are also row 7 of A, so the seventh stage is the field at the new
-# point; and E = B − B̂, the 5th- minus the 4th-order weights over all seven.
-_DP_A = (
+# Cash–Karp 5(4) for an autonomous field: rows 2 to 6 of the stage matrix A
+# (nodes c = 1/5, 3/10, 3/5, 1, 7/8); the 5th-order weights B; and E = B − B̂,
+# the 5th- minus the 4th-order weights. Both solutions come from the same six
+# stages, so the estimate needs no right-hand side at the new point.
+_CK_A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
 )
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_CK_B = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_E = (-277 / 64512, 0.0, 6925 / 370944, -6925 / 202752, -277 / 14336, 277 / 7084)
 
 
 def _advance(y, dt, weights, stages):
@@ -286,18 +286,17 @@ def _advance(y, dt, weights, stages):
 
 
 def _integrate(field, y, steps):
-    """Time-1 DOPRI5 integration of the state, re-projecting the images to
-    S³ after each step (7 RHS calls a step). Returns the state and the sum
+    """Time-1 Cash–Karp integration of the state, re-projecting the images to
+    S³ after each step (6 RHS calls a step). Returns the state and the sum
     over steps of max |y5 − y4| over the state before re-projection."""
     dt = 1.0 / steps
     total = 0.0
     for _ in range(steps):
         stages = [_rhs(field, y)]
-        for row in _DP_A:
+        for row in _CK_A:
             stages.append(_rhs(field, _advance(y, dt, row, stages)))
-        y = _advance(y, dt, _DP_B, stages)
-        stages.append(_rhs(field, y))
-        total += float(np.abs(_advance(0.0, dt, _DP_E, stages)).max())
+        y = _advance(y, dt, _CK_B, stages)
+        total += float(np.abs(_advance(0.0, dt, _CK_E, stages)).max())
         y[:2] /= np.sqrt(np.abs(y[:1]) ** 2 + np.abs(y[1:2]) ** 2)
     return y, total
 
@@ -375,18 +374,19 @@ class ContactDiffeo:
 def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     """Time-1 contact flow of X from the quadrature nodes.
 
-    Integrates ``steps`` DOPRI5 steps and accepts the flow when its embedded
-    error estimate is at most FLOW_TOL and its contact ratio is at most
-    CONTACT_RATIO_TOL. Otherwise the step count doubles, up to
-    MAX_FLOW_STEPS; past that it raises FlowError. The returned ``steps`` is
-    the accepted count, so it exceeds the requested one only after a doubling.
+    Integrates ``steps`` (1 to MAX_FLOW_STEPS) Cash–Karp steps of 6 RHS
+    calls and accepts the flow when its embedded error estimate is at most
+    FLOW_TOL and its contact ratio is at most CONTACT_RATIO_TOL. Otherwise the
+    step count doubles, up to MAX_FLOW_STEPS; past that it raises FlowError.
+    The returned ``steps`` is the accepted count, so it exceeds the requested
+    one only after a doubling.
     A field whose order-FLOW_NORM_ORDER norm exceeds FLOW_NORM_CAP, or is not
     finite, raises FlowError before any integration. The right-hand side sums
     the field's Taylor table at the nodes where its bound passes
     (``_FlowField``) and calls the point kernel elsewhere.
     """
-    if steps < 1:
-        raise ValueError(f"flow needs at least 1 step, got {steps}")
+    if not 1 <= steps <= MAX_FLOW_STEPS:
+        raise ValueError(f"flow needs 1 to {MAX_FLOW_STEPS} steps, got {steps}")
     basis = X.basis
     size = X.generating.l2_norm() + X.horizontal.l2_norm()
     if size < _IDENTITY_CUTOFF:
@@ -403,7 +403,7 @@ def flow(X: ContactField, steps=DEFAULT_FLOW_STEPS) -> ContactDiffeo:
     while True:
         # the start state is rebuilt per attempt, so no copy outlives the first step
         y, estimate = _integrate(field, _start_state(basis), n_steps)
-        rhs_evals += 7 * n_steps
+        rhs_evals += 6 * n_steps
         maps = _frame_maps(basis, y)
         ratio = _contact_ratio(maps)
         if estimate <= FLOW_TOL and ratio <= CONTACT_RATIO_TOL:

@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +12,11 @@ import pytest
 from crsphere.fields import ContactField, complex_contact_norm, contact_from_generating
 from crsphere import _core
 from crsphere.basis import NonFiniteError
-from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TABLE_ORDER, FLOW_TOL, NEAR_NODE_TOL,
-                           ContactDiffeo, DeformationTensor, FlowError, NeighbourhoodError,
-                           _flow_columns, _FlowField, _frame_maps, _integrate,
-                           _node_displacement, _rhs, _rhs_error_bound, _start_state, e_remainder,
-                           flow, pullback_deformation, pullback_scalar)
+from crsphere.flow import (DEFAULT_FLOW_STEPS, FLOW_TABLE_ORDER, FLOW_TOL, MAX_FLOW_STEPS,
+                           NEAR_NODE_TOL, ContactDiffeo, DeformationTensor, FlowError,
+                           NeighbourhoodError, _CK_A, _CK_B, _CK_E, _flow_columns, _FlowField,
+                           _frame_maps, _integrate, _node_displacement, _rhs, _rhs_error_bound,
+                           _start_state, e_remainder, flow, pullback_deformation, pullback_scalar)
 from crsphere.normal_form import pullback_of_zero, random_deformation, solve
 
 from conftest import cached_basis, cached_suite
@@ -99,6 +100,16 @@ def test_flow_rejects_zero_steps(suite6):
         flow(small_field(suite6, 73, 2e-3), steps=0)
 
 
+def test_flow_rejects_steps_above_the_cap(suite6, monkeypatch):
+    # the cap holds for a requested count as for a doubled one, and is
+    # checked before any right-hand side
+    import importlib
+    flow_mod = importlib.import_module("crsphere.flow")
+    monkeypatch.setattr(flow_mod, "_rhs", None)
+    with pytest.raises(ValueError, match=f"1 to {MAX_FLOW_STEPS} steps, got {MAX_FLOW_STEPS + 1}"):
+        flow(small_field(suite6, 73, 2e-3), steps=MAX_FLOW_STEPS + 1)
+
+
 def _jac_full(jac):
     """The 4×4 ambient Jacobian from its (n, 2, 4) dz-rows: F is real, so the
     dz̄-rows are the conjugated dz-rows with the columns swapped in pairs."""
@@ -167,6 +178,71 @@ def _rk4_oracle(X, steps, every):
     return fine[0], fine[1], gap
 
 
+# Cash–Karp 5(4) (Cash and Karp, ACM Trans. Math. Softw. 16, 1990): nodes,
+# stage rows, 5th- and 4th-order weights, as exact fractions
+_CK_EXACT_C = [Fraction(c) for c in ("0", "1/5", "3/10", "3/5", "1", "7/8")]
+_CK_EXACT_A = [[Fraction(a) for a in row] for row in (
+    (), ("1/5",), ("3/40", "9/40"), ("3/10", "-9/10", "6/5"),
+    ("-11/54", "5/2", "-70/27", "35/27"),
+    ("1631/55296", "175/512", "575/13824", "44275/110592", "253/4096"))]
+_CK_EXACT_B = [Fraction(b) for b in ("37/378", "0", "250/621", "125/594", "0", "512/1771")]
+_CK_EXACT_B4 = [Fraction(b) for b in
+                ("2825/27648", "0", "18575/48384", "13525/55296", "277/14336", "1/4")]
+
+
+def _rooted_trees(order):
+    """The rooted trees with ``order`` nodes, each a sorted tuple of its
+    subtrees: every one grows from a tree of one node fewer by a new leaf."""
+    def grow(tree):
+        yield tuple(sorted(tree + ((),)))
+        for i, child in enumerate(tree):
+            for grown in grow(child):
+                yield tuple(sorted(tree[:i] + (grown,) + tree[i + 1:]))
+
+    trees = {()}
+    for _ in range(order - 1):
+        trees = {grown for tree in trees for grown in grow(tree)}
+    return sorted(trees)
+
+
+def _tree_condition(tree, A):
+    """Φ(t), the order and the density γ(t) of a rooted tree t, for its order
+    condition b·Φ(t) = 1/γ(t): Φ_i is the product over the subtrees u of
+    (A Φ(u))_i, and γ(t) is t's order times the product of the γ(u)."""
+    phi, order, gamma = [Fraction(1)] * len(A), 1, 1
+    for child in tree:
+        child_phi, child_order, child_gamma = _tree_condition(child, A)
+        phi = [p * sum(a * q for a, q in zip(row, child_phi)) for p, row in zip(phi, A)]
+        order += child_order
+        gamma *= child_gamma
+    return phi, order, order * gamma
+
+
+def test_cash_karp_tableau_meets_its_order_conditions():
+    # at the solver's field sizes a mistyped entry would still pass the RK4
+    # oracle below, so the coefficients are pinned here, exactly: the rows of
+    # A sum to the nodes, the 5th-order weights meet all 17 conditions
+    # through order 5 and the 4th-order ones the 8 through order 4 but not
+    # all of order 5 (so the estimate is not identically 0), and the module's
+    # floats are these fractions rounded
+    A = [row + [Fraction(0)] * (6 - len(row)) for row in _CK_EXACT_A]
+    assert [sum(row) for row in A] == _CK_EXACT_C
+    trees = {order: _rooted_trees(order) for order in range(1, 6)}
+    assert [len(trees[order]) for order in trees] == [1, 1, 2, 4, 9]
+
+    def holds(weights, tree):
+        phi, _, gamma = _tree_condition(tree, A)
+        return sum(w * p for w, p in zip(weights, phi)) == Fraction(1, gamma)
+
+    assert all(holds(_CK_EXACT_B, tree) for order in trees for tree in trees[order])
+    assert all(holds(_CK_EXACT_B4, tree) for order in range(1, 5) for tree in trees[order])
+    assert not all(holds(_CK_EXACT_B4, tree) for tree in trees[5])
+
+    assert [list(row) for row in _CK_A] == [[float(a) for a in row] for row in _CK_EXACT_A[1:]]
+    assert list(_CK_B) == [float(b) for b in _CK_EXACT_B]
+    assert list(_CK_E) == [float(b - b4) for b, b4 in zip(_CK_EXACT_B, _CK_EXACT_B4)]
+
+
 def _solver_field(degree):
     suite = cached_suite(degree)
     phi = random_deformation(suite.basis, np.random.default_rng(90 + degree), 5e-3)
@@ -184,8 +260,8 @@ def test_default_flow_matches_rk4_oracle(make_field, kernel):
     # (still accepted at 1 step) is the one that sees a wrong stage entry.
     # The N = 8 solver field takes every right-hand side from the Taylor
     # table at the nodes; the N = 6 one moves nodes ten times farther, past
-    # the table's bound at the last four stages, and the large one at every
-    # stage, so both count point-kernel fallbacks.
+    # the table's bound at the four stages from c = 3/10 on, and the large one
+    # at every stage, so both count point-kernel fallbacks.
     # The oracle follows one node in 13, a stride coprime to the radial and
     # torus sizes of the grid. The flow's pushed vectors are checked against
     # the oracle's ambient Jacobian applied to the frame at the nodes
@@ -239,7 +315,7 @@ def test_flow_field_sums_its_table_within_the_carried_bound():
 
 
 def test_flow_rhs_evaluation_counts(suite6, monkeypatch):
-    # a perf guard: a default moving flow makes its 7 stages and no second
+    # a perf guard: a default moving flow makes its 6 stages and no second
     # integration, and the solver's counter is the number of calls it made
     import importlib
     flow_mod = importlib.import_module("crsphere.flow")
@@ -252,11 +328,11 @@ def test_flow_rhs_evaluation_counts(suite6, monkeypatch):
 
     monkeypatch.setattr(flow_mod, "_rhs", counted)
     F = flow(small_field(suite6, 72, 2e-3))
-    assert len(calls) == F.rhs_evals == 7
+    assert len(calls) == F.rhs_evals == 6
     calls.clear()
     phi = random_deformation(suite6.basis, np.random.default_rng(82), 5e-3)
     result = solve(suite6, phi)
-    assert result.flow_rhs_evals == len(calls) == 7 * (result.iterations - 1)
+    assert result.flow_rhs_evals == len(calls) == 6 * (result.iterations - 1)
     assert 0.0 < result.max_flow_error_estimate <= FLOW_TOL
 
 
